@@ -10,15 +10,14 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
 from .errors import BackendError, ConfigError, DataError
 from . import data as dataio
 from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
-                       project_features, write_feature_csv)
-from .kernels import KernelSpec
+                       parse_scale, project_features, write_feature_csv)
+from .kernels import KernelSpec, parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
 from .evaluation import (config_from_ini, per_motif_analysis, run_experiment,
@@ -27,40 +26,18 @@ from .evaluation import (config_from_ini, per_motif_analysis, run_experiment,
 logger = logging.getLogger(__name__)
 
 
-def _parse_scale(text: str) -> float:
-    if text == "pi":
-        return math.pi
-    if text == "pi2":
-        return math.pi / 2
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(
-            f"--scale must be pi, pi2, or a float, got {text!r}") from None
-
-
-def _parse_gamma(text: str):
-    if text in ("scale", "auto"):
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"--gamma must be scale, auto, or a float, "
-                          f"got {text!r}") from None
-
-
 def _embedding_from_args(args) -> EmbeddingConfig:
     if args.embedding == "e1":
         if args.reps is None:
             raise ConfigError("--embedding e1 needs --reps")
         return EmbeddingConfig("e1", reps=args.reps,
-                               scale=_parse_scale(args.scale),
+                               scale=parse_scale(args.scale),
                                entanglement=args.entanglement,
                                test_mode=args.test_mode)
     if args.steps is None:
         raise ConfigError("--embedding e2 needs --steps")
     return EmbeddingConfig("e2", steps=args.steps,
-                           scale=_parse_scale(args.scale), seed=args.seed,
+                           scale=parse_scale(args.scale), seed=args.seed,
                            test_mode=args.test_mode)
 
 
@@ -88,15 +65,15 @@ def _add_embedding_flags(sub) -> None:
 
 
 def _features_from_args(args):
+    """(bits in the requested column order, projected features, labels)."""
     X, y = dataio.load_encoded_csv(args.input)
     if args.order == "correlation":
-        order = dataio.correlation_order(X)
-        X = X[:, order]
+        X = X[:, dataio.correlation_order(X)]
     embedding = _embedding_from_args(args)
     backend = BackendConfig.parse(args.backend, seed=args.seed)
     F = project_features(X, embedding, backend, cache_dir=args.cache,
                          n_jobs=args.jobs)
-    return F, y
+    return X, F, y
 
 
 def cmd_encode(args) -> int:
@@ -109,7 +86,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    F, y = _features_from_args(args)
+    _, F, y = _features_from_args(args)
     write_feature_csv(args.output, F, labels=y)
     print(f"projected {F.shape[0]} samples to {F.shape[1]} features "
           f"-> {args.output}")
@@ -117,14 +94,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    X, y = dataio.load_encoded_csv(args.input)
-    if args.order == "correlation":
-        X = X[:, dataio.correlation_order(X)]
-    embedding = _embedding_from_args(args)
-    backend = BackendConfig.parse(args.backend, seed=args.seed)
-    F = project_features(X, embedding, backend, cache_dir=args.cache,
-                         n_jobs=args.jobs)
-    spec = KernelSpec(args.kernel, _parse_gamma(args.gamma))
+    X, F, y = _features_from_args(args)
+    spec = KernelSpec(args.kernel, parse_gamma(args.gamma))
     result = screen_advantage(X, y, F, spec, lam=args.lam)
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -152,7 +123,7 @@ def cmd_train(args) -> int:
     else:
         if args.c is None:
             raise ConfigError("train needs --c unless --grid is set")
-        spec = KernelSpec(args.kernel, _parse_gamma(args.gamma),
+        spec = KernelSpec(args.kernel, parse_gamma(args.gamma),
                           args.degree, args.coef0)
         C = args.c
     model = smo_train(F, y, spec, C, tol=args.tol,

@@ -22,9 +22,10 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
-from .features import BackendConfig, EmbeddingConfig, project_features
+from .features import BackendConfig, EmbeddingConfig, parse_scale, \
+    project_features
 from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
-    model_complexity
+    model_complexity, parse_gamma
 from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
 
 METHODS = ("original", "pqk")
@@ -110,8 +111,6 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     smo_tol: float = 1e-3
     smo_max_passes: int = 200
-    lam: float = 1.0
-    screening_kernel: KernelSpec = KernelSpec("rbf", "scale")
     cache_dir: str | None = None
     n_jobs: int = 1
 
@@ -120,8 +119,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"feature_order must be natural or correlation, "
                 f"got {self.feature_order!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError("lam must be finite and >= 0")
 
     def provenance(self) -> dict:
         return {
@@ -140,7 +137,6 @@ class ExperimentConfig:
                      "coef0": self.grid.coef0},
             "smo_tol": self.smo_tol,
             "smo_max_passes": self.smo_max_passes,
-            "lam": self.lam,
         }
 
 
@@ -338,18 +334,6 @@ def run_experiment(dataset: EncodedDataset,
     return report
 
 
-def _parse_scale(text: str) -> float:
-    if text == "pi":
-        return math.pi
-    if text == "pi2":
-        return math.pi / 2
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"scale must be pi, pi2, or a float, got {text!r}") \
-            from None
-
-
 def _require(section, key: str, where: str) -> str:
     if key not in section:
         raise ConfigError(f"config is missing {where}.{key}")
@@ -364,11 +348,9 @@ def _parse_grid(section) -> GridConfig:
                     _require(section, "kernels", "grid").split(","))
     c_values = tuple(float(v) for v in
                      _require(section, "c_values", "grid").split(","))
-    gammas = []
-    for tok in _require(section, "gamma_values", "grid").split(","):
-        tok = tok.strip()
-        gammas.append(tok if tok in ("scale", "auto") else float(tok))
-    return GridConfig(kernels, c_values, tuple(gammas),
+    gammas = tuple(parse_gamma(tok.strip()) for tok in
+                   _require(section, "gamma_values", "grid").split(","))
+    return GridConfig(kernels, c_values, gammas,
                       degree=section.getint("degree", 3),
                       coef0=section.getfloat("coef0", 0.0))
 
@@ -386,11 +368,23 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     for sec in ("dataset", "embedding", "backend", "protocol"):
         if sec not in cp:
             raise ConfigError(f"config is missing the [{sec}] section")
+    if "screening" in cp:
+        raise ConfigError(
+            "the [screening] section is not read by report; run "
+            "`motifqk screen --lam <lambda>` once per lambda instead")
+    try:
+        return _parse_sections(cp)
+    except ValueError as exc:
+        # int(), float(), getint() or getboolean() on a malformed value
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
     dataset_path = _require(cp["dataset"], "path", "dataset")
     emb_sec = cp["embedding"]
     kind = _require(emb_sec, "kind", "embedding")
     test_mode = emb_sec.getboolean("test_mode", False)
-    scale = _parse_scale(emb_sec.get("scale", "pi2"))
+    scale = parse_scale(emb_sec.get("scale", "pi2"))
     if kind == "e1":
         embedding = EmbeddingConfig(
             "e1", reps=int(_require(emb_sec, "reps", "embedding")),
@@ -410,11 +404,6 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     else:
         backend = BackendConfig.parse(backend_text)
     proto = cp["protocol"]
-    screening = cp["screening"] if "screening" in cp else {}
-    grid = _parse_grid(cp["grid"]) if "grid" in cp else GridConfig()
-    gamma_tok = screening.get("gamma", "scale") if screening else "scale"
-    screening_gamma = gamma_tok if gamma_tok in ("scale", "auto") \
-        else float(gamma_tok)
     config = ExperimentConfig(
         embedding=embedding,
         backend=backend,
@@ -424,13 +413,9 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
         cv_folds=proto.getint("cv_folds", 10),
         cv_seed=int(_require(proto, "cv_seed", "protocol")),
         feature_order=proto.get("feature_order", "natural"),
-        grid=grid,
+        grid=_parse_grid(cp["grid"]) if "grid" in cp else GridConfig(),
         smo_tol=proto.getfloat("smo_tol", 1e-3),
         smo_max_passes=proto.getint("smo_max_passes", 200),
-        lam=float(screening.get("lam", 1.0)) if screening else 1.0,
-        screening_kernel=KernelSpec(
-            screening.get("kernel", "rbf") if screening else "rbf",
-            screening_gamma),
         cache_dir=cp["cache"].get("dir") if "cache" in cp else None,
         n_jobs=cp["cache"].getint("n_jobs", 1) if "cache" in cp else 1,
     )

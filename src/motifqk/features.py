@@ -41,6 +41,19 @@ PRODUCTION_SCALES = (math.pi, math.pi / 2)
 BLOCH_TOL = 1e-9
 
 
+def parse_scale(text: str) -> float:
+    """Rotation scale from its config spelling: pi, pi2 (pi/2), or a float."""
+    if text == "pi":
+        return math.pi
+    if text == "pi2":
+        return math.pi / 2
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(
+            f"scale must be pi, pi2, or a float, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Which embedding to build and with what parameters.
@@ -154,12 +167,6 @@ def _shot_seed(master: int, bits_key: str, qubit: int, basis: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _binomial_estimate(value: float, shots: int, seed: int) -> float:
-    p_up = min(max((1.0 + value) / 2.0, 0.0), 1.0)
-    ups = int(np.random.default_rng(seed).binomial(shots, p_up))
-    return (2 * ups - shots) / shots
-
-
 def _check_bits(bits) -> np.ndarray:
     X = np.asarray(bits)
     if X.ndim != 2 or X.size == 0:
@@ -181,7 +188,7 @@ def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
             for k, b in enumerate(BASES):
                 val = sv.pauli_expectation(psi, q, b)
                 if backend.kind == "shots":
-                    val = _binomial_estimate(
+                    val = sv.binomial_estimate(
                         val, backend.shots,
                         _shot_seed(backend.seed, bits_key, q, b))
                 out[3 * q + k] = val
@@ -193,7 +200,7 @@ def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
                                                 backend.threshold)
                 val = obp_expectation(back)
                 if backend.shots:
-                    val = _binomial_estimate(
+                    val = sv.binomial_estimate(
                         val, backend.shots,
                         _shot_seed(backend.seed, bits_key, q, b))
                 out[3 * q + k] = val

@@ -22,13 +22,12 @@ KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and hyperparameters, plus the screening regularizer."""
+    """Kernel family and hyperparameters."""
 
     kind: str = "rbf"
     gamma: float | str = "scale"
     degree: int = 3
     coef0: float = 0.0
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -43,8 +42,17 @@ class KernelSpec:
             raise ConfigError("degree must be an integer >= 1")
         if not math.isfinite(self.coef0):
             raise ConfigError("coef0 must be finite")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError("lam must be finite and >= 0")
+
+
+def parse_gamma(text: str) -> float | str:
+    """Kernel gamma from its config spelling: scale, auto, or a float."""
+    if text in ("scale", "auto"):
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(
+            f"gamma must be scale, auto, or a float, got {text!r}") from None
 
 
 def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> float:

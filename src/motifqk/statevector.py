@@ -88,13 +88,18 @@ def pauli_expectation(state: np.ndarray, qubit: int, basis: str) -> float:
     return val
 
 
+def binomial_estimate(value: float, shots: int, seed: int) -> float:
+    """Finite-shot estimate of an expectation ``value`` in [-1, 1]: the mean
+    of ``shots`` +-1 outcomes drawn from one seeded binomial."""
+    p_up = min(max((1.0 + value) / 2.0, 0.0), 1.0)
+    ups = int(np.random.default_rng(seed).binomial(shots, p_up))
+    return (2 * ups - shots) / shots
+
+
 def sample_expectation(state: np.ndarray, qubit: int, basis: str,
                        shots: int, seed: int) -> float:
     """Finite-shot estimate of a Pauli expectation via binomial sampling."""
     if not (isinstance(shots, int) and shots >= 1):
         raise ConfigError("shots must be an integer >= 1")
-    p_up = min(max((1.0 + pauli_expectation(state, qubit, basis)) / 2.0, 0.0),
-               1.0)
-    rng = np.random.default_rng(seed)
-    ups = int(rng.binomial(shots, p_up))
-    return (2 * ups - shots) / shots
+    return binomial_estimate(pauli_expectation(state, qubit, basis), shots,
+                             seed)

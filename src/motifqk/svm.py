@@ -40,8 +40,7 @@ class SvmModel:
             "kernel": {"kind": self.spec.kind,
                        "gamma": self.spec.gamma,
                        "degree": self.spec.degree,
-                       "coef0": self.spec.coef0,
-                       "lam": self.spec.lam},
+                       "coef0": self.spec.coef0},
             "C": self.C,
             "gamma_value": self.gamma_value,
             "bias": self.bias,
@@ -57,8 +56,8 @@ class SvmModel:
         if d.get("format") != MODEL_FORMAT:
             raise DataError(f"unknown model format {d.get('format')!r}")
         k = d["kernel"]
-        spec = KernelSpec(k["kind"], k["gamma"], k["degree"], k["coef0"],
-                          k.get("lam", 1.0))
+        # older model files also carry a "lam" entry, which is ignored
+        spec = KernelSpec(k["kind"], k["gamma"], k["degree"], k["coef0"])
         return cls(spec, float(d["C"]), float(d["gamma_value"]),
                    np.array(d["support_idx"], dtype=np.int64),
                    np.array(d["dual_coef"], dtype=np.float64),
@@ -81,6 +80,19 @@ def _train_hash(X: np.ndarray, y: np.ndarray) -> str:
     h.update(np.ascontiguousarray(X).tobytes())
     h.update(np.ascontiguousarray(y).tobytes())
     return h.hexdigest()[:16]
+
+
+def _violating_pair(score, yf, alpha, C: float, eps: float):
+    """Maximal violating pair (i, m, j, M): i maximizes the score over the
+    indices that may move up, j minimizes it over those that may move down;
+    m - M bounds the duality gap."""
+    up = ((yf > 0) & (alpha < C - eps)) | ((yf < 0) & (alpha > eps))
+    down = ((yf > 0) & (alpha > eps)) | ((yf < 0) & (alpha < C - eps))
+    up_score = np.where(up, score, -np.inf)
+    down_score = np.where(down, score, np.inf)
+    i = int(np.argmax(up_score))
+    j = int(np.argmin(down_score))
+    return i, float(up_score[i]), j, float(down_score[j])
 
 
 def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
@@ -112,16 +124,10 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     eps = 1e-12
     converged = False
     for _ in range(max_passes * N):
-        score = -yf * grad
-        up = ((yf > 0) & (alpha < C - eps)) | ((yf < 0) & (alpha > eps))
-        down = ((yf > 0) & (alpha > eps)) | ((yf < 0) & (alpha < C - eps))
-        m = float(np.max(np.where(up, score, -np.inf)))
-        M = float(np.min(np.where(down, score, np.inf)))
+        i, m, j, M = _violating_pair(-yf * grad, yf, alpha, C, eps)
         if m - M <= tol:
             converged = True
             break
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        j = int(np.argmin(np.where(down, score, np.inf)))
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         if eta <= 0:
             eta = 1e-12
@@ -141,26 +147,19 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
         ai = ai_old + yf[i] * yf[j] * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
         grad += Q[:, i] * (ai - ai_old) + Q[:, j] * (aj - aj_old)
+    score = -yf * grad
     if not converged:
-        score = -yf * grad
-        up = ((yf > 0) & (alpha < C - eps)) | ((yf < 0) & (alpha > eps))
-        down = ((yf > 0) & (alpha > eps)) | ((yf < 0) & (alpha < C - eps))
-        m = float(np.max(np.where(up, score, -np.inf)))
-        M = float(np.min(np.where(down, score, np.inf)))
+        _, m, _, M = _violating_pair(score, yf, alpha, C, eps)
         if m - M > tol:
             warnings.warn(
                 f"SMO hit max_passes with duality gap {m - M:.3e} > {tol}",
                 RuntimeWarning)
     assert abs(float(np.dot(alpha, yf))) < 1e-6, "equality constraint drifted"
     free = (alpha > C * 1e-8) & (alpha < C * (1.0 - 1e-8))
-    score = -yf * grad
     if free.any():
         bias = float(np.mean(score[free]))
     else:
-        up = ((yf > 0) & (alpha < C - eps)) | ((yf < 0) & (alpha > eps))
-        down = ((yf > 0) & (alpha > eps)) | ((yf < 0) & (alpha < C - eps))
-        m = float(np.max(np.where(up, score, -np.inf)))
-        M = float(np.min(np.where(down, score, np.inf)))
+        _, m, _, M = _violating_pair(score, yf, alpha, C, eps)
         bias = (m + M) / 2.0
     if converged:
         margins = yf * (K @ (alpha * yf) + bias)

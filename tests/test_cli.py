@@ -183,6 +183,17 @@ def test_report_missing_config(tmp_path):
     assert rc == 2
 
 
+def test_report_malformed_number(tmp_path, raw_csv):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[dataset]\npath = {raw_csv}\n"
+                   "[embedding]\nkind = e1\nreps = six\n"
+                   "[backend]\nbackend = obp:0.05\n"
+                   "[protocol]\nsplit_seed = 0\ncv_seed = 0\n")
+    rc = main(["report", "--config", str(ini),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+
+
 def test_bad_subcommand_usage():
     with pytest.raises(SystemExit):
         main(["embed", "--input", "x.csv"])  # missing required flags

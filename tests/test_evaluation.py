@@ -3,6 +3,8 @@
 import configparser
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,10 +298,39 @@ def test_config_from_ini_missing_section(tmp_path):
 
 
 def test_config_from_ini_bad_scale(tmp_path):
-    path = _write_ini(tmp_path / "exp.ini", sections={
-        "embedding": {"kind": "e1", "reps": "6", "scale": "tau"}})
-    with pytest.raises(ConfigError):
-        config_from_ini(path)
+    # malformed numbers and a [screening] section (which report does not
+    # read) are config errors, not a ValueError or a silently ignored section
+    bad_inputs = [
+        {"embedding": {"kind": "e1", "reps": "6", "scale": "tau"}},
+        {"embedding": {"kind": "e1", "reps": "six", "scale": "pi2"}},
+        {"grid": {"kernels": "rbf", "c_values": "1.0",
+                  "gamma_values": "fast"}},
+        {"protocol": {"n_splits": "ten", "split_seed": "0", "cv_seed": "0"}},
+        {"screening": {"lam": "1.0"}},
+    ]
+    for i, sections in enumerate(bad_inputs):
+        path = _write_ini(tmp_path / f"exp{i}.ini", sections=sections)
+        with pytest.raises(ConfigError):
+            config_from_ini(path)
+
+
+def test_readme_production_ini_parses(tmp_path):
+    # the README's INI block is the documented production run: E1 reps 8 at
+    # pi/2, obp:0.05, 10 splits of 70/30, 10 CV folds, the full grid
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### INI format", 1)[1]
+    ini = tmp_path / "experiment.ini"
+    ini.write_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+    dataset_path, config = config_from_ini(ini)
+    assert dataset_path == "data/constructs.csv"
+    assert config.embedding == EmbeddingConfig("e1", reps=8,
+                                               scale=math.pi / 2)
+    assert config.backend == BackendConfig.parse("obp:0.05")
+    assert (config.n_splits, config.train_frac, config.cv_folds) \
+        == (10, 0.7, 10)
+    assert (config.split_seed, config.cv_seed) == (0, 0)
+    assert config.feature_order == "natural"
+    assert config.grid == GridConfig()
 
 
 def test_split_plan_serialization():

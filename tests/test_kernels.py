@@ -62,8 +62,6 @@ def test_kernel_spec_validation():
         KernelSpec(kind="rbf", gamma=-1.0)
     with pytest.raises(ConfigError):
         KernelSpec(kind="poly", degree=0)
-    with pytest.raises(ConfigError):
-        KernelSpec(kind="rbf", lam=-0.5)
 
 
 def test_resolve_gamma():

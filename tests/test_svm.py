@@ -89,6 +89,10 @@ def test_model_save_load_round_trip(tmp_path, rng):
     Xt = rng.normal(size=(5, 3))
     assert np.array_equal(predict(model, Xt), predict(loaded, Xt))
     assert loaded.gamma_value == model.gamma_value
+    # files written while KernelSpec still had a lam field load as before
+    old = model.to_dict()
+    old["kernel"]["lam"] = 1.0
+    assert SvmModel.from_dict(old).spec == model.spec
 
 
 def test_model_load_rejects_other_format(tmp_path):
