@@ -17,7 +17,7 @@ from .errors import BackendError, ConfigError, DataError
 from . import data as dataio
 from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
                        parse_scale, project_features, write_feature_csv)
-from .kernels import KernelSpec, parse_gamma
+from .kernels import KernelSpec, check_lam, parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
 from .evaluation import (config_from_ini, per_motif_analysis, run_experiment,
@@ -94,8 +94,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    X, F, y = _features_from_args(args)
     spec = KernelSpec(args.kernel, parse_gamma(args.gamma))
+    check_lam(args.lam)  # before the projection, which is the slow part
+    X, F, y = _features_from_args(args)
     result = screen_advantage(X, y, F, spec, lam=args.lam)
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.output:

@@ -364,18 +364,19 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     cp = configparser.ConfigParser()
     if not Path(path).exists():
         raise ConfigError(f"config file {path} does not exist")
-    cp.read(path)
-    for sec in ("dataset", "embedding", "backend", "protocol"):
-        if sec not in cp:
-            raise ConfigError(f"config is missing the [{sec}] section")
-    if "screening" in cp:
-        raise ConfigError(
-            "the [screening] section is not read by report; run "
-            "`motifqk screen --lam <lambda>` once per lambda instead")
     try:
+        cp.read(path)
+        for sec in ("dataset", "embedding", "backend", "protocol"):
+            if sec not in cp:
+                raise ConfigError(f"config is missing the [{sec}] section")
+        if "screening" in cp:
+            raise ConfigError(
+                "the [screening] section is not read by report; run "
+                "`motifqk screen --lam <lambda>` once per lambda instead")
         return _parse_sections(cp)
-    except ValueError as exc:
-        # int(), float(), getint() or getboolean() on a malformed value
+    except (ValueError, configparser.Error) as exc:
+        # INI syntax (duplicate keys, bad % interpolation), or int(),
+        # float(), getint() or getboolean() on a malformed value
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -2,9 +2,8 @@
 
 The geometric difference g(Kc, Kq) and model complexity s_K quantify, from
 Gram matrices alone, whether a quantum-projected kernel can separate itself
-from a classical one on the same data. Every eigendecomposition in this
-module goes through the cyclic Jacobi solver below; numpy's eigensolvers
-are deliberately reserved for independent test oracles.
+from a classical one on the same data; their eigendecompositions use numpy's
+``eigh``, and the cyclic Jacobi solver is kept only as a reference.
 """
 
 from __future__ import annotations
@@ -126,9 +125,9 @@ def trace_normalized(K: np.ndarray) -> np.ndarray:
 def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 60):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Returns (w, V) with A = V @ diag(w) @ V.T; eigenvalues are unsorted.
-    Sweeps run until the off-diagonal Frobenius mass falls below
-    tol * ||A||_F.
+    Kept as a reference and for the benchmark span named after it. Returns
+    (w, V) with A = V @ diag(w) @ V.T; eigenvalues are unsorted. Sweeps run
+    until the off-diagonal Frobenius mass falls below tol * ||A||_F.
     """
     A = check_kernel_matrix(A).copy()
     n = A.shape[0]
@@ -172,14 +171,32 @@ def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 60):
     return np.diag(A).copy(), V
 
 
+def check_lam(lam: float) -> None:
+    """Reject a ridge lambda for g and s_K that is negative or not finite."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError("lam must be finite and >= 0")
+
+
+def _psd_eigh(K):
+    w, V = np.linalg.eigh(check_kernel_matrix(K))
+    if w[0] < -1e-8:
+        raise DataError(f"matrix is not PSD (eigenvalue {w[0]:.3e} < -1e-8)")
+    return w, V
+
+
+def _ridge_eigh(K, lam: float):
+    """Eigenpairs of trace-normalized K, with K + lam I checked nonsingular."""
+    check_lam(lam)
+    w, V = _psd_eigh(trace_normalized(K))
+    if w[0] + lam <= 1e-12:
+        raise DataError("K + lam*I is singular; use a positive lam")
+    return w, V
+
+
 def psd_sqrt(K) -> np.ndarray:
     """Symmetric PSD square root; eigenvalues below -1e-8 are rejected,
     small negative ones are clipped to zero."""
-    K = check_kernel_matrix(K)
-    w, V = jacobi_eigh(K)
-    if w.min() < -1e-8:
-        raise DataError(
-            f"matrix is not PSD (eigenvalue {w.min():.3e} < -1e-8)")
+    w, V = _psd_eigh(K)
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return (root + root.T) / 2.0
 
@@ -194,21 +211,10 @@ def geometric_difference(Kc, Kq, lam: float = 0.0) -> float:
     Kc, Kq = check_kernel_matrix(Kc), check_kernel_matrix(Kq)
     if Kc.shape != Kq.shape:
         raise DataError("kernel matrices must have identical shape")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ConfigError("lam must be finite and >= 0")
-    Kc, Kq = trace_normalized(Kc), trace_normalized(Kq)
-    wc, Vc = jacobi_eigh(Kc)
-    wq, Vq = jacobi_eigh(Kq)
-    if wc.min() < -1e-8 or wq.min() < -1e-8:
-        raise DataError("kernel matrices must be PSD within -1e-8")
-    if (wc + lam).min() <= 1e-12:
-        raise DataError("Kc + lam*I is singular; use a positive lam")
-    mid = np.clip(wc, 0.0, None) / (wc + lam) ** 2
-    B = (Vc * mid) @ Vc.T
-    Sq = (Vq * np.sqrt(np.clip(wq, 0.0, None))) @ Vq.T
-    M = Sq @ B @ Sq
-    wm, _ = jacobi_eigh((M + M.T) / 2.0)
-    return math.sqrt(max(float(wm.max()), 0.0))
+    wc, Vc = _ridge_eigh(Kc, lam)
+    B = (Vc * (np.clip(wc, 0.0, None) / (wc + lam) ** 2)) @ Vc.T
+    Sq = psd_sqrt(trace_normalized(Kq))
+    return math.sqrt(max(float(np.linalg.eigvalsh(Sq @ B @ Sq)[-1]), 0.0))
 
 
 def model_complexity(K, y, lam: float = 0.0) -> float:
@@ -223,15 +229,8 @@ def model_complexity(K, y, lam: float = 0.0) -> float:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (K.shape[0],):
         raise DataError("label vector length must match the kernel")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ConfigError("lam must be finite and >= 0")
     N = K.shape[0]
-    K = trace_normalized(K)
-    w, V = jacobi_eigh(K)
-    if w.min() < -1e-8:
-        raise DataError("kernel matrix must be PSD within -1e-8")
-    if (w + lam).min() <= 1e-12:
-        raise DataError("K + lam*I is singular; use a positive lam")
+    w, V = _ridge_eigh(K, lam)
     u = V.T @ y
     denom = (w + lam) ** 2
     t1 = lam * lam * float((u * u / denom).sum()) / N

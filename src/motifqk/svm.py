@@ -244,6 +244,9 @@ class GridConfig:
         for c in self.c_values:
             if not (math.isfinite(c) and c > 0):
                 raise ConfigError(f"bad C value {c!r}")
+        for kind in self.kernels:
+            for gamma in self.gamma_values:
+                KernelSpec(kind, gamma, self.degree, self.coef0)
 
     def candidates(self) -> list[tuple[str, float, object]]:
         return [(k, c, g) for k in self.kernels

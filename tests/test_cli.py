@@ -153,6 +153,19 @@ def test_screen_writes_metrics(tmp_path, encoded_csv):
     assert data["n"] == 10
 
 
+@pytest.mark.parametrize("flag", [["--lam", "-1"], ["--gamma", "-1"]])
+def test_screen_rejects_bad_flag_before_projecting(tmp_path, encoded_csv,
+                                                   monkeypatch, flag):
+    calls = []
+    monkeypatch.setattr("motifqk.cli.project_features",
+                        lambda *args, **kwargs: calls.append(args))
+    rc = main(["screen", "--input", str(encoded_csv),
+               "--embedding", "e1", "--reps", "6", "--scale", "pi2",
+               "--backend", "obp:0.05", "--seed", "0"] + flag)
+    assert rc == 2
+    assert calls == []
+
+
 def test_report_full_run(tmp_path, raw_csv):
     cp = configparser.ConfigParser()
     cp["dataset"] = {"path": str(raw_csv)}
@@ -187,6 +200,17 @@ def test_report_malformed_number(tmp_path, raw_csv):
     ini = tmp_path / "exp.ini"
     ini.write_text(f"[dataset]\npath = {raw_csv}\n"
                    "[embedding]\nkind = e1\nreps = six\n"
+                   "[backend]\nbackend = obp:0.05\n"
+                   "[protocol]\nsplit_seed = 0\ncv_seed = 0\n")
+    rc = main(["report", "--config", str(ini),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_report_duplicate_key(tmp_path, raw_csv):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[dataset]\npath = {raw_csv}\npath = {raw_csv}\n"
+                   "[embedding]\nkind = e1\nreps = 6\n"
                    "[backend]\nbackend = obp:0.05\n"
                    "[protocol]\nsplit_seed = 0\ncv_seed = 0\n")
     rc = main(["report", "--config", str(ini),

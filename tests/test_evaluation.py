@@ -298,18 +298,32 @@ def test_config_from_ini_missing_section(tmp_path):
 
 
 def test_config_from_ini_bad_scale(tmp_path):
-    # malformed numbers and a [screening] section (which report does not
-    # read) are config errors, not a ValueError or a silently ignored section
+    # malformed numbers, out-of-range grid axes, INI syntax errors and a
+    # [screening] section (which report does not read) are config errors,
+    # not a traceback or a silently ignored section
     bad_inputs = [
         {"embedding": {"kind": "e1", "reps": "6", "scale": "tau"}},
         {"embedding": {"kind": "e1", "reps": "six", "scale": "pi2"}},
         {"grid": {"kernels": "rbf", "c_values": "1.0",
                   "gamma_values": "fast"}},
+        {"grid": {"kernels": "rbf", "c_values": "1.0",
+                  "gamma_values": "-1"}},
+        {"grid": {"kernels": "laplace", "c_values": "1.0",
+                  "gamma_values": "scale"}},
         {"protocol": {"n_splits": "ten", "split_seed": "0", "cv_seed": "0"}},
         {"screening": {"lam": "1.0"}},
     ]
-    for i, sections in enumerate(bad_inputs):
-        path = _write_ini(tmp_path / f"exp{i}.ini", sections=sections)
+    paths = [_write_ini(tmp_path / f"exp{i}.ini", sections=sections)
+             for i, sections in enumerate(bad_inputs)]
+    good = _write_ini(tmp_path / "good.ini").read_text()
+    for name, text in (
+            ("duplicate.ini", good.replace("path = raw.csv",
+                                           "path = raw.csv\npath = b.csv")),
+            ("percent.ini", good.replace("path = raw.csv",
+                                         "path = a%.csv"))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    for path in paths:
         with pytest.raises(ConfigError):
             config_from_ini(path)
 

@@ -1,9 +1,10 @@
 """Kernel, eigensolver, and screening-metric tests.
 
-scipy/numpy linear algebra is used only as an independent oracle here;
-the package itself never calls it.
+The metric oracles below evaluate the textbook formulas with dense numpy
+inverses; the package's own Jacobi solver is checked against numpy.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifqk.data import Construct, encode_dataset
 from motifqk.errors import ConfigError, DataError
 from motifqk.kernels import (
     KernelSpec,
@@ -27,6 +29,24 @@ from motifqk.kernels import (
 def _random_psd(rng, n, rank=None):
     b = rng.normal(size=(n, rank or n))
     return b @ b.T
+
+
+def _one_hot_screen(rng):
+    """(Kc, Kq, y) shaped like the real screen: an rbf-scale Gram of the 169
+    distinct two-motif constructs, whose spectrum has only three distinct
+    eigenvalues, an rbf-scale Gram of Bloch-ball features (61 qubits), and
+    +-1 labels."""
+    motifs = [f"M{i}" for i in range(1, 14)]
+    bits = encode_dataset([Construct(ms, 0.5) for ms in
+                           itertools.product(motifs, repeat=2)]).bits
+    n = bits.shape[0]
+    v = rng.normal(size=(n, 61, 3))
+    v *= rng.uniform(0.0, 1.0, (n, 61, 1)) / np.linalg.norm(v, axis=2,
+                                                           keepdims=True)
+    spec = KernelSpec(kind="rbf", gamma="scale")
+    y = np.where(rng.integers(0, 2, n) == 0, -1.0, 1.0)
+    return (kernel_matrix(bits, spec),
+            kernel_matrix(v.reshape(n, -1), spec), y)
 
 
 def _oracle_geometric_difference(Kc, Kq, lam):
@@ -181,9 +201,9 @@ def test_geometric_difference_equal_kernels(rng):
 
 
 def test_geometric_difference_oracle(rng):
-    for _ in range(5):
-        Kc = _random_psd(rng, 10)
-        Kq = _random_psd(rng, 10)
+    pairs = [(_random_psd(rng, 10), _random_psd(rng, 10)) for _ in range(5)]
+    one_hot_kc, bloch_kq, _ = _one_hot_screen(rng)
+    for Kc, Kq in pairs + [(one_hot_kc, bloch_kq)]:
         for lam in (0.1, 1.0, 5.0):
             mine = geometric_difference(Kc, Kq, lam)
             want = _oracle_geometric_difference(Kc, Kq, lam)
@@ -229,9 +249,11 @@ def test_model_complexity_identity_closed_form(rng):
 
 
 def test_model_complexity_oracle(rng):
-    for _ in range(5):
-        K = _random_psd(rng, 9)
-        y = np.where(rng.integers(0, 2, 9) == 0, -1.0, 1.0)
+    cases = [(_random_psd(rng, 9),
+              np.where(rng.integers(0, 2, 9) == 0, -1.0, 1.0))
+             for _ in range(5)]
+    one_hot_kc, bloch_kq, labels = _one_hot_screen(rng)
+    for K, y in cases + [(one_hot_kc, labels), (bloch_kq, labels)]:
         for lam in (0.0, 0.5, 2.0):
             mine = model_complexity(K, y, lam)
             want = _oracle_model_complexity(K, y, lam)

@@ -139,6 +139,17 @@ def test_grid_cardinality():
     assert cands[0][0] == "linear"
 
 
+def test_grid_config_validation():
+    # every kernel x gamma pair is checked up front, by the KernelSpec rules,
+    # so a bad axis fails before any feature row is projected
+    bad_axes = [{"gamma_values": (-1.0,)}, {"gamma_values": ("bogus",)},
+                {"kernels": ("nope",)}, {"degree": 0},
+                {"coef0": float("nan")}, {"c_values": (0.0,)}]
+    for axes in bad_axes:
+        with pytest.raises(ConfigError):
+            GridConfig(**axes)
+
+
 def test_grid_values_spot_checks():
     assert C_VALUES[:4] == (0.001, 0.005, 0.007, 0.01)
     assert C_VALUES[-1] == 2000.0
