@@ -6,7 +6,7 @@ from .data import (Construct, EncodedDataset, EncodedSample, EncodingLayout,
                    correlation_order, decode_one_hot, encode_dataset,
                    encode_one_hot, load_constructs, matthews_corr)
 from .circuits import (Circuit, CircuitStats, Gate, build_heisenberg_embedding,
-                       build_zz_feature_map, circuit_stats, from_text, to_text)
+                       build_zz_feature_map, circuit_stats)
 from .statevector import pauli_expectation, sample_expectation, simulate
 from .pauliprop import (ObservableSum, PauliString, backpropagate_observable,
                         obp_expectation)

@@ -1,16 +1,16 @@
 """Gate-level circuit representation and the two data-embedding builders.
 
 The gate alphabet is deliberately small (H, RX, RY, RZ, CX); both embeddings
-and every simulation backend speak exactly this set. Entangling blocks are
+and every simulation backend speak exactly this set. Both embeddings couple
+only neighbouring qubits of a linear chain, and their entangling blocks are
 emitted in even/odd brickwork order so blocks on disjoint qubit pairs stack
 in parallel layers.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class Gate:
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -91,13 +90,9 @@ def _check_features(x) -> np.ndarray:
     return x
 
 
-def build_zz_feature_map(x, reps: int, scale: float,
-                         entanglement: str = "linear") -> Circuit:
+def build_zz_feature_map(x, reps: int, scale: float) -> Circuit:
     """ZZ feature map: per rep, H on all, RZ(2*scale*x_j) on all, then a
-    CX-RZ-CX block per qubit pair with angle 2*scale^2*x_j*x_k.
-
-    ``entanglement`` picks the pair set: ``linear`` couples the chain
-    (j, j+1), ``full`` couples every pair j < k.
+    CX-RZ-CX block per chain pair (j, j+1) with angle 2*scale^2*x_j*x_{j+1}.
     """
     x = _check_features(x)
     n = x.size
@@ -105,12 +100,7 @@ def build_zz_feature_map(x, reps: int, scale: float,
         raise ConfigError("reps must be an integer >= 1")
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError("scale must be positive and finite")
-    if entanglement == "linear":
-        pairs = _chain_pairs(n)
-    elif entanglement == "full":
-        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    else:
-        raise ConfigError(f"unknown entanglement {entanglement!r}")
+    pairs = _chain_pairs(n)
     gates = []
     for _ in range(reps):
         gates.extend(Gate("H", (q,)) for q in range(n))
@@ -121,9 +111,7 @@ def build_zz_feature_map(x, reps: int, scale: float,
             gates.append(Gate("RZ", (b,),
                               float(2.0 * scale * scale * x[a] * x[b])))
             gates.append(Gate("CX", (a, b)))
-    meta = {"embedding": "e1", "reps": reps, "scale": scale,
-            "entanglement": entanglement}
-    return Circuit(n, tuple(gates), meta)
+    return Circuit(n, tuple(gates))
 
 
 def build_heisenberg_embedding(x, steps: int, scale: float,
@@ -161,45 +149,5 @@ def build_heisenberg_embedding(x, steps: int, scale: float,
             # RZZ
             gates += [Gate("CX", (a, b)), Gate("RZ", (b,), angle),
                       Gate("CX", (a, b))]
-    meta = {"embedding": "e2", "steps": steps, "scale": scale, "seed": seed}
-    return Circuit(n, tuple(gates), meta)
+    return Circuit(n, tuple(gates))
 
-
-def to_text(circuit: Circuit) -> str:
-    """Serialize to the line format ``KIND q0 [q1] [angle]`` with a header."""
-    lines = [f"qubits={circuit.n_qubits} "
-             f"meta={json.dumps(circuit.meta, sort_keys=True)}"]
-    for g in circuit.gates:
-        parts = [g.kind, *map(str, g.qubits)]
-        if g.angle is not None:
-            parts.append(repr(float(g.angle)))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Circuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits="):
-        raise DataError("circuit text must start with a qubits= header")
-    head, _, meta_part = lines[0].partition(" meta=")
-    try:
-        n = int(head.split("=", 1)[1])
-        meta = json.loads(meta_part) if meta_part else {}
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"bad circuit header: {exc}") from None
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        try:
-            if kind == "CX":
-                gates.append(Gate(kind, (int(parts[1]), int(parts[2]))))
-            elif kind == "H":
-                gates.append(Gate(kind, (int(parts[1]),)))
-            elif kind in ROTATION_KINDS:
-                gates.append(Gate(kind, (int(parts[1]),), float(parts[2])))
-            else:
-                raise DataError(f"unknown gate line {ln!r}")
-        except (IndexError, ValueError):
-            raise DataError(f"bad gate line {ln!r}") from None
-    return Circuit(n, tuple(gates), meta)

@@ -32,7 +32,6 @@ def _embedding_from_args(args) -> EmbeddingConfig:
             raise ConfigError("--embedding e1 needs --reps")
         return EmbeddingConfig("e1", reps=args.reps,
                                scale=parse_scale(args.scale),
-                               entanglement=args.entanglement,
                                test_mode=args.test_mode)
     if args.steps is None:
         raise ConfigError("--embedding e2 needs --steps")
@@ -60,8 +59,6 @@ def _add_embedding_flags(sub) -> None:
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--test-mode", action="store_true",
                      help="allow parameters outside the production settings")
-    sub.add_argument("--entanglement", choices=("linear", "full"),
-                     default="linear")
 
 
 def _features_from_args(args):

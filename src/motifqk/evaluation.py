@@ -334,6 +334,19 @@ def run_experiment(dataset: EncodedDataset,
     return report
 
 
+# every key config_from_ini reads, by section; anything else is a typo
+_INI_KEYS = {
+    "dataset": ("path",),
+    "embedding": ("kind", "reps", "steps", "scale", "seed", "test_mode"),
+    "backend": ("backend", "seed"),
+    "protocol": ("n_splits", "train_frac", "split_seed", "cv_folds",
+                 "cv_seed", "feature_order", "smo_tol", "smo_max_passes"),
+    "grid": ("preset", "kernels", "c_values", "gamma_values", "degree",
+             "coef0"),
+    "cache": ("dir", "n_jobs"),
+}
+
+
 def _require(section, key: str, where: str) -> str:
     if key not in section:
         raise ConfigError(f"config is missing {where}.{key}")
@@ -360,6 +373,8 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
 
     Seeds are mandatory wherever randomness is consumed: split_seed and
     cv_seed always, the embedding seed for e2, the backend seed for shots.
+    Unknown sections and keys are rejected, so a misspelt key cannot fall
+    back to its default unnoticed.
     """
     cp = configparser.ConfigParser()
     if not Path(path).exists():
@@ -373,6 +388,14 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
             raise ConfigError(
                 "the [screening] section is not read by report; run "
                 "`motifqk screen --lam <lambda>` once per lambda instead")
+        for sec in cp.sections():
+            if sec not in _INI_KEYS:
+                raise ConfigError(f"unknown config section [{sec}]")
+            unknown = [f"{sec}.{key}" for key in cp[sec]
+                       if key not in _INI_KEYS[sec]]
+            if unknown:
+                raise ConfigError(
+                    f"unknown config key {', '.join(unknown)}")
         return _parse_sections(cp)
     except (ValueError, configparser.Error) as exc:
         # INI syntax (duplicate keys, bad % interpolation), or int(),
@@ -389,8 +412,7 @@ def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
     if kind == "e1":
         embedding = EmbeddingConfig(
             "e1", reps=int(_require(emb_sec, "reps", "embedding")),
-            scale=scale, entanglement=emb_sec.get("entanglement", "linear"),
-            test_mode=test_mode)
+            scale=scale, test_mode=test_mode)
     elif kind == "e2":
         embedding = EmbeddingConfig(
             "e2", steps=int(_require(emb_sec, "steps", "embedding")),

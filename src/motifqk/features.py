@@ -2,8 +2,9 @@
 
 For an n-qubit embedding the feature row is (X_0, Y_0, Z_0, X_1, ...): all
 3n single-qubit Pauli expectations of the embedded state. Backends: dense
-statevector (exact or with binomial shot noise) for small n, operator
-backpropagation for chain embeddings at any width up to 64 qubits.
+statevector (exact or with binomial shot noise) up to
+statevector.DEFAULT_QUBIT_CAP qubits, noise-free operator backpropagation
+up to 64 qubits.
 
 Truncated backpropagation estimates each expectation with bounded error,
 which can leave a per-qubit triple slightly outside the unit Bloch ball;
@@ -58,10 +59,14 @@ def parse_scale(text: str) -> float:
 class EmbeddingConfig:
     """Which embedding to build and with what parameters.
 
-    Production settings are enforced unless ``test_mode`` is set: E1 repetitions
-    in {4, 6, 8, 12}, E2 Trotter steps in {4, 6}, scale pi or pi/2, linear
-    chain entanglement. ``test_mode`` additionally allows ``reps=0``, the
-    identity embedding (features are the fixed |0> Bloch vectors).
+    Both kinds couple the qubits of a linear chain. Production settings are
+    enforced unless ``test_mode`` is set: E1 repetitions in {4, 6, 8, 12},
+    E2 Trotter steps in {4, 6}, scale pi or pi/2. ``test_mode`` additionally
+    allows ``reps=0``, the identity embedding (features are the fixed |0>
+    Bloch vectors).
+
+    ``descriptor()`` keys the feature cache and the report's config hash;
+    keep its text, including the E1 suffix ``:ent=linear``.
     """
 
     kind: str
@@ -69,7 +74,6 @@ class EmbeddingConfig:
     steps: int = 0
     scale: float = math.pi / 2
     seed: int = 0
-    entanglement: str = "linear"
     test_mode: bool = False
 
     def __post_init__(self):
@@ -89,8 +93,6 @@ class EmbeddingConfig:
                     f"e2 steps must be one of {PRODUCTION_STEPS} (or set test_mode)")
         if not self.test_mode and self.scale not in PRODUCTION_SCALES:
             raise ConfigError("scale must be pi or pi/2 (or set test_mode)")
-        if not self.test_mode and self.entanglement != "linear":
-            raise ConfigError("only linear entanglement outside test_mode")
 
     def n_qubits(self, n_features: int) -> int:
         return n_features if self.kind == "e1" else n_features + 1
@@ -98,38 +100,40 @@ class EmbeddingConfig:
     def build(self, x) -> Circuit:
         if self.kind == "e1":
             if self.reps == 0:
-                return Circuit(len(x), (), {"embedding": "identity"})
-            return build_zz_feature_map(x, self.reps, self.scale,
-                                        self.entanglement)
+                return Circuit(len(x), ())
+            return build_zz_feature_map(x, self.reps, self.scale)
         return build_heisenberg_embedding(x, self.steps, self.scale, self.seed)
 
     def descriptor(self) -> str:
         if self.kind == "e1":
-            return (f"e1:reps={self.reps}:scale={self.scale!r}"
-                    f":ent={self.entanglement}")
+            return f"e1:reps={self.reps}:scale={self.scale!r}:ent=linear"
         return f"e2:steps={self.steps}:scale={self.scale!r}:seed={self.seed}"
 
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Readout backend: ``exact``, ``shots:<n>``, or ``obp:<threshold>``."""
+    """Readout backend: ``exact``, ``shots:<n>``, or ``obp:<threshold>``.
+
+    ``shots`` and ``seed`` belong to the shots kind alone. ``descriptor()``
+    keys the feature cache and the report's config hash; keep its text.
+    """
 
     kind: str
     shots: int = 0
     seed: int = 0
     threshold: float = 0.0
-    qubit_cap: int = sv.DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         if self.kind not in ("exact", "shots", "obp"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.kind == "shots" and self.shots < 1:
             raise ConfigError("shots backend needs shots >= 1")
-        if self.kind == "obp":
-            if not (math.isfinite(self.threshold) and self.threshold >= 0):
-                raise ConfigError("obp threshold must be finite and >= 0")
-            if self.shots < 0:
-                raise ConfigError("obp shot emulation needs shots >= 0")
+        if self.kind != "shots" and (self.shots or self.seed):
+            raise ConfigError(
+                f"shots and seed apply to the shots backend, not {self.kind}")
+        if self.kind == "obp" and not (math.isfinite(self.threshold)
+                                       and self.threshold >= 0):
+            raise ConfigError("obp threshold must be finite and >= 0")
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "BackendConfig":
@@ -151,10 +155,7 @@ class BackendConfig:
             return "exact"
         if self.kind == "shots":
             return f"shots:{self.shots}:seed={self.seed}"
-        desc = f"obp:{self.threshold!r}"
-        if self.shots:
-            desc += f":shots={self.shots}:seed={self.seed}"
-        return desc
+        return f"obp:{self.threshold!r}"
 
 
 def feature_names(n_qubits: int) -> list[str]:
@@ -178,46 +179,40 @@ def _check_bits(bits) -> np.ndarray:
 
 def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
                      backend: BackendConfig) -> np.ndarray:
-    bits_key = "".join(str(int(b)) for b in row)
     circuit = embedding.build(row)
     n = circuit.n_qubits
     out = np.empty(3 * n, dtype=np.float64)
-    if backend.kind in ("exact", "shots"):
-        psi = sv.simulate(circuit, qubit_cap=backend.qubit_cap)
-        for q in range(n):
-            for k, b in enumerate(BASES):
-                val = sv.pauli_expectation(psi, q, b)
-                if backend.kind == "shots":
-                    val = sv.binomial_estimate(
-                        val, backend.shots,
-                        _shot_seed(backend.seed, bits_key, q, b))
-                out[3 * q + k] = val
-    else:
+    if backend.kind == "obp":
         for q in range(n):
             for k, b in enumerate(BASES):
                 obs = ObservableSum({PauliString.single(q, b): 1.0})
                 back = backpropagate_observable(circuit, obs,
                                                 backend.threshold)
-                val = obp_expectation(back)
-                if backend.shots:
-                    val = sv.binomial_estimate(
-                        val, backend.shots,
-                        _shot_seed(backend.seed, bits_key, q, b))
-                out[3 * q + k] = val
-        if not backend.shots:
-            # truncation can push a triple off the Bloch ball; the true
-            # value lies inside, so radial projection only shrinks error
-            vecs = out.reshape(n, 3)
-            radii = np.sqrt((vecs ** 2).sum(axis=1))
-            off_ball = radii > 1.0
-            if off_ball.any():
-                vecs[off_ball] /= radii[off_ball, None]
-    exact_readout = backend.kind == "exact" or (
-        backend.kind == "obp" and backend.threshold == 0 and not backend.shots)
-    if exact_readout:
-        norms = out.reshape(n, 3) ** 2
-        assert norms.sum(axis=1).max() <= 1.0 + BLOCH_TOL, \
-            "single-qubit Bloch bound violated"
+                out[3 * q + k] = obp_expectation(back)
+        # truncation can push a triple off the Bloch ball; the true
+        # value lies inside, so radial projection only shrinks error
+        vecs = out.reshape(n, 3)
+        radii = np.sqrt((vecs ** 2).sum(axis=1))
+        off_ball = radii > 1.0
+        if off_ball.any():
+            vecs[off_ball] /= radii[off_ball, None]
+        return out
+    bits_key = "".join(str(int(b)) for b in row)
+    psi = sv.simulate(circuit)
+    for q in range(n):
+        for k, b in enumerate(BASES):
+            val = sv.pauli_expectation(psi, q, b)
+            if backend.kind == "shots":
+                val = sv.binomial_estimate(
+                    val, backend.shots,
+                    _shot_seed(backend.seed, bits_key, q, b))
+            out[3 * q + k] = val
+    if backend.kind == "exact":
+        radii_sq = (out.reshape(n, 3) ** 2).sum(axis=1)
+        if radii_sq.max() > 1.0 + BLOCH_TOL:
+            raise BackendError(
+                f"single-qubit Bloch bound violated: squared radius "
+                f"{radii_sq.max()!r} on the exact backend")
     return out
 
 
@@ -245,9 +240,9 @@ def project_features(bits, embedding: EmbeddingConfig,
     """
     X = _check_bits(bits)
     n = embedding.n_qubits(X.shape[1])
-    if backend.kind in ("exact", "shots") and n > backend.qubit_cap:
+    if backend.kind in ("exact", "shots") and n > sv.DEFAULT_QUBIT_CAP:
         raise BackendError(
-            f"{backend.kind} backend capped at {backend.qubit_cap} qubits "
+            f"{backend.kind} backend capped at {sv.DEFAULT_QUBIT_CAP} qubits "
             f"but the embedding needs {n}; use obp:<threshold>")
     width = 3 * n
     out = np.empty((X.shape[0], width), dtype=np.float64)
@@ -295,8 +290,9 @@ def project_features(bits, embedding: EmbeddingConfig,
 def write_feature_csv(path, features: np.ndarray, labels=None) -> None:
     """Write a feature matrix (optionally with a trailing label column)."""
     F = np.asarray(features, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] % 3:
-        raise DataError("feature matrix must be 2-D with width 3 * n_qubits")
+    if F.ndim != 2 or F.shape[1] == 0 or F.shape[1] % 3:
+        raise DataError("feature matrix must be 2-D with nonzero width "
+                        "3 * n_qubits")
     header = feature_names(F.shape[1] // 3)
     if labels is not None:
         labels = np.asarray(labels)
@@ -322,7 +318,7 @@ def load_feature_csv(path):
             raise DataError(f"{path}: empty feature file")
         has_label = header and header[-1] == "label"
         cols = header[:-1] if has_label else header
-        if cols != feature_names(len(cols) // 3) or len(cols) % 3:
+        if not cols or len(cols) % 3 or cols != feature_names(len(cols) // 3):
             raise DataError(f"{path}: malformed feature header")
         feats, labels = [], []
         for lineno, row in enumerate(reader, start=2):

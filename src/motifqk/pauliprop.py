@@ -102,10 +102,6 @@ class ObservableSum:
         """Sum of squared coefficients (invariant under exact conjugation)."""
         return float(np.dot(self.cs, self.cs))
 
-    def support_mask(self) -> int:
-        mask = np.bitwise_or.reduce(self.xs | self.zs) if len(self) else 0
-        return int(mask)
-
 
 def _merged(xs, zs, cs, threshold: float):
     if cs.size:

@@ -59,7 +59,8 @@ def simulate(circuit: Circuit,
         else:
             psi = _apply_1q(psi, n, g.qubits[0], _rotation(g.kind, g.angle))
     norm = float(np.vdot(psi, psi).real)
-    assert abs(norm - 1.0) < 1e-10, f"state norm drifted to {norm}"
+    if not abs(norm - 1.0) < 1e-10:
+        raise BackendError(f"state norm drifted to {norm}")
     return psi
 
 

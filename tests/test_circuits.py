@@ -1,4 +1,4 @@
-"""Circuit construction, gate counting, and serialization tests."""
+"""Circuit construction and gate counting tests."""
 
 import math
 
@@ -13,8 +13,6 @@ from motifqk.circuits import (
     build_heisenberg_embedding,
     build_zz_feature_map,
     circuit_stats,
-    from_text,
-    to_text,
 )
 from motifqk.errors import ConfigError
 
@@ -110,19 +108,11 @@ def test_zz_map_zero_input_zero_angles():
     assert all(a == 0.0 for a in angles)
 
 
-def test_zz_map_full_entanglement_pair_count():
-    circuit = build_zz_feature_map(np.ones(4), reps=1, scale=1.0, entanglement="full")
-    cx = [g for g in circuit.gates if g.kind == "CX"]
-    assert len(cx) == 12  # 6 pairs, 2 CX each
-
-
 def test_zz_map_validation():
     with pytest.raises(ConfigError):
         build_zz_feature_map(np.ones(3), reps=0, scale=1.0)
     with pytest.raises(ConfigError):
         build_zz_feature_map(np.ones(3), reps=1, scale=-1.0)
-    with pytest.raises(ConfigError):
-        build_zz_feature_map(np.ones(3), reps=1, scale=1.0, entanglement="ring")
     # A single feature is legal: the map degenerates to H plus one rotation.
     single = build_zz_feature_map(np.ones(1), reps=1, scale=1.0)
     assert circuit_stats(single).two_qubit_gates == 0
@@ -162,34 +152,6 @@ def test_heisenberg_validation():
         build_heisenberg_embedding([1.0, 1.0], steps=0, scale=1.0, seed=0)
     with pytest.raises(ConfigError):
         build_heisenberg_embedding([1.0], steps=1, scale=float("nan"), seed=0)
-
-
-def test_text_round_trip_zz():
-    circuit = build_zz_feature_map([1.0, 0.0, 1.0], reps=2, scale=0.37)
-    assert from_text(to_text(circuit)) == circuit
-
-
-def test_text_round_trip_heisenberg():
-    circuit = build_heisenberg_embedding([1.0, 0.0], steps=3, scale=1.2, seed=7)
-    assert from_text(to_text(circuit)) == circuit
-
-
-def test_text_golden_format():
-    circuit = Circuit(2, (Gate("H", (0,)), Gate("CX", (0, 1)), Gate("RZ", (1,), 0.25)))
-    lines = to_text(circuit).splitlines()
-    assert lines[0].startswith("qubits=2 meta=")
-    assert lines[1:] == ["H 0", "CX 0 1", "RZ 1 0.25"]
-
-
-def test_from_text_rejects_garbage():
-    from motifqk.errors import DataError
-
-    with pytest.raises(DataError):
-        from_text("no header\nH 0")
-    with pytest.raises(DataError):
-        from_text("qubits=2 meta={}\nH zero")
-    with pytest.raises(DataError):
-        from_text("qubits=2 meta={}\nRZ 0")
 
 
 @given(st.integers(min_value=3, max_value=8), st.integers(min_value=1, max_value=3),

@@ -2,11 +2,13 @@
 
 import configparser
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from motifqk.cli import main
+from motifqk.cli import build_parser, main
 from motifqk.data import load_encoded_csv
 from motifqk.features import load_feature_csv
 
@@ -216,6 +218,18 @@ def test_report_duplicate_key(tmp_path, raw_csv):
     rc = main(["report", "--config", str(ini),
                "--output-dir", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_readme_command_lines_parse():
+    # every documented `motifqk ...` invocation must name real flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.replace("\\\n", " ").replace("$lam", "1.0")
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    commands = [shlex.split(ln) for ln in lines if ln.startswith("motifqk ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_bad_subcommand_usage():

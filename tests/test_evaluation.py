@@ -15,6 +15,7 @@ from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import (
     ExperimentConfig,
     SplitPlan,
+    _config_hash,
     config_from_ini,
     fisher_exact,
     make_splits,
@@ -298,9 +299,10 @@ def test_config_from_ini_missing_section(tmp_path):
 
 
 def test_config_from_ini_bad_scale(tmp_path):
-    # malformed numbers, out-of-range grid axes, INI syntax errors and a
-    # [screening] section (which report does not read) are config errors,
-    # not a traceback or a silently ignored section
+    # malformed numbers, out-of-range grid axes, INI syntax errors, a
+    # [screening] section (which report does not read) and unknown keys or
+    # sections are config errors, not a traceback or a silently ignored
+    # setting
     bad_inputs = [
         {"embedding": {"kind": "e1", "reps": "6", "scale": "tau"}},
         {"embedding": {"kind": "e1", "reps": "six", "scale": "pi2"}},
@@ -312,7 +314,21 @@ def test_config_from_ini_bad_scale(tmp_path):
                   "gamma_values": "scale"}},
         {"protocol": {"n_splits": "ten", "split_seed": "0", "cv_seed": "0"}},
         {"screening": {"lam": "1.0"}},
+        {"embedding": {"kind": "e1", "reps": "6", "scale": "pi2",
+                       "entanglement": "linear"}},
     ]
+    typos = [
+        ({"protocol": {"cv_fold": "3", "split_seed": "0", "cv_seed": "0"}},
+         "protocol.cv_fold"),
+        ({"protocol": {"feature_ordr": "correlation", "split_seed": "0",
+                       "cv_seed": "0"}}, "protocol.feature_ordr"),
+        ({"cache": {"directory": "cache"}}, "cache.directory"),
+        ({"caches": {"dir": "cache"}}, r"\[caches\]"),
+    ]
+    for i, (sections, where) in enumerate(typos):
+        path = _write_ini(tmp_path / f"typo{i}.ini", sections=sections)
+        with pytest.raises(ConfigError, match=where):
+            config_from_ini(path)
     paths = [_write_ini(tmp_path / f"exp{i}.ini", sections=sections)
              for i, sections in enumerate(bad_inputs)]
     good = _write_ini(tmp_path / "good.ini").read_text()
@@ -345,6 +361,7 @@ def test_readme_production_ini_parses(tmp_path):
     assert (config.split_seed, config.cv_seed) == (0, 0)
     assert config.feature_order == "natural"
     assert config.grid == GridConfig()
+    assert _config_hash(config) == "e9d34fbd27e1dc88"
 
 
 def test_split_plan_serialization():

@@ -1,6 +1,7 @@
 """Projected-feature extraction tests: widths, caching, backends."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from motifqk.errors import BackendError, ConfigError, DataError
 from motifqk.features import (
     BackendConfig,
     EmbeddingConfig,
+    _cache_path,
     feature_names,
     load_feature_csv,
     project_features,
@@ -36,8 +38,6 @@ def test_embedding_config_validation():
         EmbeddingConfig(kind="e1", reps=8, scale=1.0)
     with pytest.raises(ConfigError):
         EmbeddingConfig(kind="e2", steps=5, scale=math.pi, seed=0)
-    with pytest.raises(ConfigError):
-        EmbeddingConfig(kind="e1", reps=4, scale=math.pi, entanglement="full")
     cfg = EmbeddingConfig(kind="e1", reps=3, scale=0.7, test_mode=True)
     assert cfg.n_qubits(60) == 60
 
@@ -76,6 +76,36 @@ def test_backend_validation():
         BackendConfig(kind="obp", threshold=-0.5)
     with pytest.raises(ConfigError):
         BackendConfig(kind="dense")
+    # shots and seed are read by the shots backend alone; elsewhere they
+    # would be ignored while the features look noisy by config
+    for kind in ("exact", "obp"):
+        with pytest.raises(ConfigError):
+            BackendConfig(kind=kind, shots=100, seed=3)
+        with pytest.raises(ConfigError):
+            BackendConfig(kind=kind, seed=3)
+
+
+def test_descriptors_and_cache_paths_are_pinned():
+    # feature caches and report config hashes written by earlier versions
+    # stay valid only while these strings and paths do not move
+    e1 = EmbeddingConfig("e1", reps=8, scale=math.pi / 2)
+    e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    backends = [BackendConfig.parse("obp:0.05"), BackendConfig.parse("exact"),
+                BackendConfig.parse("shots:100", seed=5)]
+    assert e1.descriptor() == "e1:reps=8:scale=1.5707963267948966:ent=linear"
+    assert e2.descriptor() == "e2:steps=4:scale=1.5707963267948966:seed=0"
+    assert [b.descriptor() for b in backends] \
+        == ["obp:0.05", "exact", "shots:100:seed=5"]
+    paths = [_cache_path(Path("c"), "01" * 30, e, b).as_posix()
+             for e in (e1, e2) for b in backends]
+    assert paths == [
+        "c/91/9151c27b60de44594e5736a4fede100ccc676ca25fe77d24cd12dd3546e40890.npy",
+        "c/c5/c5354256c1a2e69dd19ed14779765681e2c1201632886324aa4844530f4aed51.npy",
+        "c/20/2091b79eaa7c0cae100129f9424f2acf259d5914fe922fa0a5ff8bc5b7044b7d.npy",
+        "c/20/20c902d218a96c5ed1fa8625ab0199c3a93c79053ab315e262ce3f591aa6096c.npy",
+        "c/07/07365bbf02851a908c1af1196a6815dddcce94e5141510c6dce6437d7d0a5595.npy",
+        "c/14/14827594a3ebd3f65179078a53d902dbc25e92589cda78e0db586bae03740e24.npy",
+    ]
 
 
 def test_feature_names_layout():
@@ -130,6 +160,16 @@ def test_bloch_norm_bound(rng):
     feats = project_features(bits, emb, EXACT)
     radii = (feats.reshape(5, -1, 3) ** 2).sum(axis=2)
     assert (radii <= 1.0 + 1e-9).all()
+
+
+def test_exact_readout_off_bloch_ball_is_backend_error(monkeypatch):
+    # a typed error, not an assert, so `python -O` still catches it
+    import motifqk.statevector as sv_mod
+
+    monkeypatch.setattr(sv_mod, "pauli_expectation", lambda *args: 1.0)
+    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
+    with pytest.raises(BackendError, match="Bloch"):
+        project_features(np.array([[0, 1]]), emb, EXACT)
 
 
 def test_truncated_triples_projected_onto_bloch_ball():
@@ -220,19 +260,6 @@ def test_shot_estimates_near_exact(rng):
     assert np.abs(exact - shots).max() < 0.02
 
 
-def test_full_entanglement_feature_permutation_covariance(rng):
-    # Full entanglement makes the circuit symmetric under feature
-    # permutation, so per-qubit features just move with their qubit.
-    bits = _bits(rng, 4, 5)
-    perm = rng.permutation(5)
-    emb = EmbeddingConfig(kind="e1", reps=2, scale=0.7, entanglement="full",
-                          test_mode=True)
-    base = project_features(bits, emb, EXACT).reshape(4, 5, 3)
-    permuted = project_features(bits[:, perm], emb, EXACT).reshape(4, 5, 3)
-    for k in range(5):
-        assert np.allclose(permuted[:, k, :], base[:, perm[k], :], atol=1e-11)
-
-
 def test_feature_csv_round_trip(tmp_path, rng):
     feats = rng.uniform(-1, 1, (4, 6))
     y = np.array([1, -1, 1, -1])
@@ -257,6 +284,12 @@ def test_feature_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DataError):
         load_feature_csv(path)
+    # a label column alone carries no features to train on
+    path.write_text("label\n1\n-1\n")
+    with pytest.raises(DataError):
+        load_feature_csv(path)
+    with pytest.raises(DataError):
+        write_feature_csv(path, np.zeros((2, 0)), labels=[1, -1])
 
 
 def test_project_features_validates_bits(rng):

@@ -152,6 +152,13 @@ def test_simulate_qubit_cap():
     assert simulate(Circuit(17, ()), qubit_cap=17).size == 2 ** 17
 
 
+def test_simulate_norm_drift_is_backend_error(monkeypatch):
+    # a typed error, not an assert, so `python -O` still catches it
+    monkeypatch.setattr("motifqk.statevector._H", 2 * H_MAT)
+    with pytest.raises(BackendError, match="norm"):
+        simulate(Circuit(1, (Gate("H", (0,)),)))
+
+
 def test_pauli_expectation_validation():
     state = simulate(Circuit(2, ()))
     with pytest.raises(ConfigError):
