@@ -9,7 +9,7 @@ from .circuits import (Circuit, CircuitStats, Gate, build_heisenberg_embedding,
                        build_zz_feature_map, circuit_stats)
 from .statevector import pauli_expectation, sample_expectation, simulate
 from .pauliprop import (ObservableSum, PauliString, backpropagate_observable,
-                        obp_expectation)
+                        obp_expectation, obp_expectations)
 from .features import (BackendConfig, EmbeddingConfig, feature_names,
                        load_feature_csv, project_features, write_feature_csv)
 from .kernels import (KernelSpec, geometric_difference, jacobi_eigh,

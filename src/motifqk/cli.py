@@ -30,11 +30,15 @@ def _embedding_from_args(args) -> EmbeddingConfig:
     if args.embedding == "e1":
         if args.reps is None:
             raise ConfigError("--embedding e1 needs --reps")
+        if args.steps is not None:
+            raise ConfigError("--steps applies to --embedding e2, not e1")
         return EmbeddingConfig("e1", reps=args.reps,
                                scale=parse_scale(args.scale),
                                test_mode=args.test_mode)
     if args.steps is None:
         raise ConfigError("--embedding e2 needs --steps")
+    if args.reps is not None:
+        raise ConfigError("--reps applies to --embedding e1, not e2")
     return EmbeddingConfig("e2", steps=args.steps,
                            scale=parse_scale(args.scale), seed=args.seed,
                            test_mode=args.test_mode)

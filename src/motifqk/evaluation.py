@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
-from .features import BackendConfig, EmbeddingConfig, parse_scale, \
-    project_features
+from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
+    parse_scale, project_features
 from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
     model_complexity, parse_gamma
 from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
@@ -115,6 +115,7 @@ class ExperimentConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        check_n_jobs(self.n_jobs)
         if self.feature_order not in ("natural", "correlation"):
             raise ConfigError(
                 f"feature_order must be natural or correlation, "
@@ -374,7 +375,8 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     Seeds are mandatory wherever randomness is consumed: split_seed and
     cv_seed always, the embedding seed for e2, the backend seed for shots.
     Unknown sections and keys are rejected, so a misspelt key cannot fall
-    back to its default unnoticed.
+    back to its default unnoticed; so are keys the chosen embedding or
+    backend kind does not read (``steps`` on e1, ``seed`` on obp).
     """
     cp = configparser.ConfigParser()
     if not Path(path).exists():
@@ -403,6 +405,12 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _reject_unread(section, keys, where: str, reader: str) -> None:
+    unread = [f"{where}.{key}" for key in keys if key in section]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} is not read by {reader}")
+
+
 def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
     dataset_path = _require(cp["dataset"], "path", "dataset")
     emb_sec = cp["embedding"]
@@ -410,10 +418,12 @@ def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
     test_mode = emb_sec.getboolean("test_mode", False)
     scale = parse_scale(emb_sec.get("scale", "pi2"))
     if kind == "e1":
+        _reject_unread(emb_sec, ("steps", "seed"), "embedding", "kind e1")
         embedding = EmbeddingConfig(
             "e1", reps=int(_require(emb_sec, "reps", "embedding")),
             scale=scale, test_mode=test_mode)
     elif kind == "e2":
+        _reject_unread(emb_sec, ("reps",), "embedding", "kind e2")
         embedding = EmbeddingConfig(
             "e2", steps=int(_require(emb_sec, "steps", "embedding")),
             scale=scale, seed=int(_require(emb_sec, "seed", "embedding")),
@@ -426,6 +436,8 @@ def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
             backend_text, seed=int(_require(cp["backend"], "seed", "backend")))
     else:
         backend = BackendConfig.parse(backend_text)
+        _reject_unread(cp["backend"], ("seed",), "backend",
+                       f"the {backend.kind} backend")
     proto = cp["protocol"]
     config = ExperimentConfig(
         embedding=embedding,

@@ -4,7 +4,8 @@ For an n-qubit embedding the feature row is (X_0, Y_0, Z_0, X_1, ...): all
 3n single-qubit Pauli expectations of the embedded state. Backends: dense
 statevector (exact or with binomial shot noise) up to
 statevector.DEFAULT_QUBIT_CAP qubits, noise-free operator backpropagation
-up to 64 qubits.
+up to 64 qubits. Backpropagation reads a sample's 3n observables in one
+pass, as one stack (see pauliprop).
 
 Truncated backpropagation estimates each expectation with bounded error,
 which can leave a per-qubit triple slightly outside the unit Bloch ball;
@@ -31,7 +32,7 @@ from . import statevector as sv
 from .circuits import Circuit
 from .circuits import build_heisenberg_embedding, build_zz_feature_map
 from .pauliprop import ObservableSum, PauliString, backpropagate_observable, \
-    obp_expectation
+    obp_expectations
 
 logger = logging.getLogger(__name__)
 
@@ -168,6 +169,12 @@ def _shot_seed(master: int, bits_key: str, qubit: int, basis: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_n_jobs(n_jobs: int) -> None:
+    """Worker processes for ``project_features``: 1 (serial) or more."""
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs!r}")
+
+
 def _check_bits(bits) -> np.ndarray:
     X = np.asarray(bits)
     if X.ndim != 2 or X.size == 0:
@@ -183,12 +190,11 @@ def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
     n = circuit.n_qubits
     out = np.empty(3 * n, dtype=np.float64)
     if backend.kind == "obp":
-        for q in range(n):
-            for k, b in enumerate(BASES):
-                obs = ObservableSum({PauliString.single(q, b): 1.0})
-                back = backpropagate_observable(circuit, obs,
-                                                backend.threshold)
-                out[3 * q + k] = obp_expectation(back)
+        stack = ObservableSum.stack(
+            ObservableSum({PauliString.single(q, b): 1.0})
+            for q in range(n) for b in BASES)
+        out[:] = obp_expectations(
+            backpropagate_observable(circuit, stack, backend.threshold))
         # truncation can push a triple off the Bloch ball; the true
         # value lies inside, so radial projection only shrinks error
         vecs = out.reshape(n, 3)
@@ -238,6 +244,7 @@ def project_features(bits, embedding: EmbeddingConfig,
     the sample bits plus embedding and backend descriptors; cache writes
     are atomic so concurrent runs can share a directory.
     """
+    check_n_jobs(n_jobs)
     X = _check_bits(bits)
     n = embedding.n_qubits(X.shape[1])
     if backend.kind in ("exact", "shots") and n > sv.DEFAULT_QUBIT_CAP:

@@ -7,6 +7,18 @@ strings with a sign; conjugating through a rotation splits each
 anticommuting term into a cos branch and a sin branch. Terms are merged
 after every splitting gate and coefficients below the truncation threshold
 are dropped, which bounds the term count at the price of a controlled bias.
+
+Many observables propagate in one pass as a stack: their terms are
+concatenated, and an id column says which observable each term belongs
+to. The per-gate work then runs once on all terms instead of once per
+observable. Merging sorts by (id, z, x): the id leads, so terms of
+different observables never merge and each observable's terms stay
+contiguous. Within an observable the stable sort sees the same terms in
+the same order as when that observable is propagated alone, and an
+observable is merged and truncated only after a gate that splits one of
+its own terms. Every sum, truncation decision and final expectation
+therefore sees the same numbers in the same order, and a stack gives
+bit-identical results to propagating each observable by itself.
 """
 
 from __future__ import annotations
@@ -68,9 +80,17 @@ class PauliString:
 
 
 class ObservableSum:
-    """Real-coefficient sum of Pauli strings; zero coefficients never stored."""
+    """Real-coefficient sums of Pauli strings: one observable or a stack.
 
-    __slots__ = ("xs", "zs", "cs")
+    ``xs``, ``zs`` and ``cs`` hold the terms' masks and coefficients; zero
+    coefficients are never stored. ``ids`` says which observable of the
+    stack each term belongs to, and ``n_obs`` how many observables the
+    stack holds (an observable may have no terms). A sum built from a dict
+    of terms is a stack of one; ``stack`` concatenates sums. Each
+    observable's terms are contiguous, in increasing id order.
+    """
+
+    __slots__ = ("xs", "zs", "cs", "ids", "n_obs")
 
     def __init__(self, terms=None):
         items = sorted((terms or {}).items(),
@@ -79,21 +99,43 @@ class ObservableSum:
         self.xs = np.array([p.x_mask for p, _ in items], dtype=np.uint64)
         self.zs = np.array([p.z_mask for p, _ in items], dtype=np.uint64)
         self.cs = np.array([c for _, c in items], dtype=np.float64)
+        self.ids = np.zeros(len(items), dtype=np.intp)
+        self.n_obs = 1
 
     @classmethod
-    def _from_arrays(cls, xs, zs, cs) -> "ObservableSum":
+    def _from_arrays(cls, xs, zs, cs, ids, n_obs) -> "ObservableSum":
         obs = cls()
-        obs.xs, obs.zs, obs.cs = xs, zs, cs
+        obs.xs, obs.zs, obs.cs, obs.ids, obs.n_obs = xs, zs, cs, ids, n_obs
         return obs
 
+    @classmethod
+    def stack(cls, sums) -> "ObservableSum":
+        """One stack of the observables of one or more sums, in order."""
+        sums = list(sums)
+        offsets = np.cumsum([0] + [s.n_obs for s in sums])
+        return cls._from_arrays(
+            np.concatenate([s.xs for s in sums]),
+            np.concatenate([s.zs for s in sums]),
+            np.concatenate([s.cs for s in sums]),
+            np.concatenate([s.ids + o for s, o in zip(sums, offsets)]),
+            int(offsets[-1]))
+
     def __len__(self) -> int:
+        """Number of terms, summed over every observable of the stack."""
         return int(self.cs.size)
 
+    def _check_single(self) -> None:
+        if self.n_obs != 1:
+            raise ConfigError(
+                f"expected one observable, got a stack of {self.n_obs}")
+
     def terms(self) -> dict[PauliString, float]:
+        self._check_single()
         return {PauliString(int(x), int(z)): float(c)
                 for x, z, c in zip(self.xs, self.zs, self.cs)}
 
     def coefficient(self, pauli: PauliString) -> float:
+        self._check_single()
         hit = (self.xs == np.uint64(pauli.x_mask)) \
             & (self.zs == np.uint64(pauli.z_mask))
         return float(self.cs[hit].sum())
@@ -103,18 +145,29 @@ class ObservableSum:
         return float(np.dot(self.cs, self.cs))
 
 
-def _merged(xs, zs, cs, threshold: float):
-    if cs.size:
-        order = np.lexsort((xs, zs))
-        xs, zs, cs = xs[order], zs[order], cs[order]
-        first = np.empty(cs.size, dtype=bool)
-        first[0] = True
-        first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
-        starts = np.flatnonzero(first)
-        sums = np.add.reduceat(cs, starts)
-        keep = np.abs(sums) >= threshold if threshold > 0 else sums != 0.0
-        xs, zs, cs = xs[starts][keep], zs[starts][keep], sums[keep]
-    return xs, zs, cs
+def _merged(xs, zs, cs, ids, touched, threshold: float):
+    """Sum equal strings of each touched observable, then truncate them.
+
+    Terms sort by (id, z, x). An observable the gate left alone
+    (``touched[id]`` false) gets all-zero (z, x) keys, so the stable sort
+    keeps its terms in their current order and its coefficients are
+    neither summed nor truncated: exactly as when it is propagated alone.
+    """
+    live = touched[ids]
+    zero = np.uint64(0)
+    order = np.lexsort((np.where(live, xs, zero), np.where(live, zs, zero),
+                        ids))
+    xs, zs, cs, ids = xs[order], zs[order], cs[order], ids[order]
+    first = np.empty(cs.size, dtype=bool)
+    first[0] = True
+    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1]) \
+        | (ids[1:] != ids[:-1])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(cs, starts)
+    xs, zs, ids = xs[starts], zs[starts], ids[starts]
+    keep = np.abs(sums) >= threshold if threshold > 0 else sums != 0.0
+    keep |= ~touched[ids]
+    return xs[keep], zs[keep], sums[keep], ids[keep]
 
 
 def _bit(masks, q: int):
@@ -123,17 +176,22 @@ def _bit(masks, q: int):
 
 def backpropagate_observable(circuit: Circuit, obs: ObservableSum,
                              threshold: float) -> ObservableSum:
-    """Conjugate obs backwards through the circuit, truncating per gate.
+    """Conjugate every observable of obs backwards through the circuit.
 
-    The returned sum O' satisfies <0|O'|0> = <psi|O|psi> exactly at
-    threshold 0; positive thresholds trade accuracy for term count.
+    For each observable O of the stack the returned O' satisfies
+    <0|O'|0> = <psi|O|psi> exactly at threshold 0; positive thresholds
+    trade accuracy for term count. Each gate acts on the concatenated
+    terms of all observables at once, and after each splitting gate the
+    terms are merged and truncated per observable (see ``_merged``), so
+    every observable comes out with the same terms, coefficients and term
+    order, bit for bit, as when it is propagated alone.
     """
     if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)
             and threshold >= 0):
         raise ConfigError("threshold must be a finite nonnegative number")
     if circuit.n_qubits > 64:
         raise BackendError("obp backend packs masks into 64-bit words")
-    xs, zs, cs = obs.xs.copy(), obs.zs.copy(), obs.cs.copy()
+    xs, zs, cs, ids = obs.xs.copy(), obs.zs.copy(), obs.cs.copy(), obs.ids
     full = (_U1 << np.uint64(circuit.n_qubits)) - _U1 \
         if circuit.n_qubits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
     if cs.size and ((xs | zs) & ~full).any():
@@ -176,22 +234,38 @@ def backpropagate_observable(circuit: Circuit, obs: ObservableSum,
                 sign = np.where(xq.astype(bool), 1.0, -1.0)
             if anti.any():
                 cos_t, sin_t = math.cos(g.angle), math.sin(g.angle)
+                touched = np.zeros(obs.n_obs, dtype=bool)
+                touched[ids[anti]] = True
                 branch_x = xs[anti] ^ flip_x
                 branch_z = zs[anti] ^ flip_z
                 branch_c = cs[anti] * sign[anti] * sin_t
+                branch_ids = ids[anti]
                 cs = cs.copy()
                 cs[anti] *= cos_t
                 if sin_t != 0.0:
                     xs = np.concatenate([xs, branch_x])
                     zs = np.concatenate([zs, branch_z])
                     cs = np.concatenate([cs, branch_c])
-                xs, zs, cs = _merged(xs, zs, cs, float(threshold))
+                    ids = np.concatenate([ids, branch_ids])
+                xs, zs, cs, ids = _merged(xs, zs, cs, ids, touched,
+                                          float(threshold))
         support = np.bitwise_or.reduce(xs | zs) if cs.size else np.uint64(0)
-    return ObservableSum._from_arrays(xs, zs, cs)
+    return ObservableSum._from_arrays(xs, zs, cs, ids, obs.n_obs)
+
+
+def obp_expectations(obs: ObservableSum) -> np.ndarray:
+    """<0...0| O |0...0> for each observable O of the stack, in order.
+
+    Only x-free (I/Z) strings contribute, each with +c; each observable's
+    sum runs over its own contiguous slice of terms.
+    """
+    bounds = np.searchsorted(obs.ids, np.arange(obs.n_obs + 1))
+    return np.array([obs.cs[s:e][obs.xs[s:e] == np.uint64(0)].sum()
+                     for s, e in zip(bounds[:-1], bounds[1:])],
+                    dtype=np.float64)
 
 
 def obp_expectation(obs: ObservableSum) -> float:
-    """<0...0| obs |0...0>: only x-free (I/Z) strings contribute, each +c."""
-    if not len(obs):
-        return 0.0
-    return float(obs.cs[obs.xs == np.uint64(0)].sum())
+    """<0...0| obs |0...0> of a one-observable sum."""
+    obs._check_single()
+    return float(obp_expectations(obs)[0])

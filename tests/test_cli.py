@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from motifqk import features
 from motifqk.cli import build_parser, main
 from motifqk.data import load_encoded_csv
 from motifqk.features import load_feature_csv
@@ -64,6 +65,25 @@ def test_embed_bad_reps(tmp_path, encoded_csv):
                "--embedding", "e1", "--reps", "5", "--scale", "pi2",
                "--backend", "obp:0.05", "--seed", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--embedding", "e1", "--reps", "6", "--steps", "4"],
+    ["--embedding", "e2", "--steps", "4", "--reps", "6"],
+    ["--embedding", "e1", "--reps", "6", "--jobs", "0"],
+])
+def test_embed_rejects_unread_flag_and_bad_jobs(tmp_path, encoded_csv, flags,
+                                                monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(features, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "f.csv"
+    rc = main(["embed", "--input", str(encoded_csv), "--output", str(out),
+               "--scale", "pi2", "--backend", "obp:0.05", "--seed", "0"]
+              + flags)
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_embed_exact_backend_over_cap(tmp_path, encoded_csv):

@@ -324,6 +324,16 @@ def test_config_from_ini_bad_scale(tmp_path):
                        "cv_seed": "0"}}, "protocol.feature_ordr"),
         ({"cache": {"directory": "cache"}}, "cache.directory"),
         ({"caches": {"dir": "cache"}}, r"\[caches\]"),
+        # keys the chosen kind does not read
+        ({"embedding": {"kind": "e1", "reps": "8", "steps": "4"}},
+         "embedding.steps"),
+        ({"embedding": {"kind": "e1", "reps": "8", "seed": "7"}},
+         "embedding.seed"),
+        ({"embedding": {"kind": "e2", "steps": "4", "seed": "0",
+                        "reps": "8"}}, "embedding.reps"),
+        ({"backend": {"backend": "obp:0.05", "seed": "3"}}, "backend.seed"),
+        ({"backend": {"backend": "exact", "seed": "3"}}, "backend.seed"),
+        ({"cache": {"n_jobs": "0"}}, "n_jobs"),
     ]
     for i, (sections, where) in enumerate(typos):
         path = _write_ini(tmp_path / f"typo{i}.ini", sections=sections)
@@ -374,6 +384,13 @@ def test_split_plan_serialization():
                         splits=tuple((tuple(s["train"]), tuple(s["test"]))
                                      for s in d["splits"]))
     assert rebuilt == plan
+
+
+def test_experiment_config_rejects_nonpositive_n_jobs():
+    for n_jobs in (0, -4):
+        with pytest.raises(ConfigError, match="n_jobs"):
+            _synthetic_config(n_jobs=n_jobs)
+    assert _synthetic_config(n_jobs=2).n_jobs == 2
 
 
 def test_experiment_config_hash_changes_with_config():

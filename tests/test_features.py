@@ -1,11 +1,13 @@
 """Projected-feature extraction tests: widths, caching, backends."""
 
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from motifqk import features
 from motifqk.errors import BackendError, ConfigError, DataError
 from motifqk.features import (
     BackendConfig,
@@ -105,6 +107,23 @@ def test_descriptors_and_cache_paths_are_pinned():
         "c/20/20c902d218a96c5ed1fa8625ab0199c3a93c79053ab315e262ce3f591aa6096c.npy",
         "c/07/07365bbf02851a908c1af1196a6815dddcce94e5141510c6dce6437d7d0a5595.npy",
         "c/14/14827594a3ebd3f65179078a53d902dbc25e92589cda78e0db586bae03740e24.npy",
+    ]
+
+
+def test_obp_features_at_60_bits_are_pinned():
+    # sha256 of the float64 bytes of one 60-bit row on obp:0.05; any change
+    # to the propagation order, merging or truncation moves them
+    row = np.array([[int(b) for b in
+                     "010000111100100010000111100110000111110000101011"
+                     "100011000000"]])
+    e1 = EmbeddingConfig("e1", reps=8, scale=math.pi / 2)
+    e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    obp = BackendConfig.parse("obp:0.05")
+    digests = [hashlib.sha256(project_features(row, e, obp).tobytes())
+               .hexdigest() for e in (e1, e2)]
+    assert digests == [
+        "bbadc7a6db1e2b95ad3e55b88bb91bd08e1c10854acea04ebc9244f1a8af5050",
+        "69344f2e741ad8dd20ade2eaa6072b0624bea5123f8f63f652dd63794d36d38f",
     ]
 
 
@@ -298,6 +317,17 @@ def test_project_features_validates_bits(rng):
         project_features(np.array([[0, 2]]), emb, EXACT)
     with pytest.raises(DataError):
         project_features(np.zeros((0, 4)), emb, EXACT)
+
+
+def test_project_features_rejects_nonpositive_n_jobs(rng, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(features, "ProcessPoolExecutor", no_pool)
+    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
+    for n_jobs in (0, -4):
+        with pytest.raises(ConfigError, match="n_jobs"):
+            project_features(_bits(rng, 2, 3), emb, EXACT, n_jobs=n_jobs)
 
 
 def test_parallel_matches_serial(rng):

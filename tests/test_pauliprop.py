@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifqk.circuits import Circuit, Gate, build_zz_feature_map
+from motifqk.circuits import Circuit, Gate, build_heisenberg_embedding, \
+    build_zz_feature_map
 from motifqk.errors import BackendError, ConfigError
 from motifqk.pauliprop import (
     ObservableSum,
     PauliString,
     backpropagate_observable,
     obp_expectation,
+    obp_expectations,
 )
 from motifqk.statevector import pauli_expectation, simulate
 
@@ -215,3 +217,71 @@ def test_backpropagate_validation():
     wide = Circuit(65, ())
     with pytest.raises(BackendError):
         backpropagate_observable(wide, good, 0.0)
+
+
+def _random_observable(rng, n):
+    # weight <= 2 strings keep threshold-0 term counts small
+    terms = {}
+    for _ in range(int(rng.integers(2, 5))):
+        label = ["I"] * n
+        for q in rng.choice(n, size=2, replace=False):
+            label[q] = str(rng.choice(list("IXYZ")))
+        terms[PauliString.from_label("".join(label))] = float(rng.normal())
+    # below every positive threshold used: kept or dropped per observable
+    terms[PauliString.single(int(rng.integers(n)), "X")] = 0.03
+    return ObservableSum(terms)
+
+
+@given(st.sampled_from(["e1", "e2", "random"]),
+       st.integers(min_value=2, max_value=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stack_matches_each_observable_alone(kind, n, seed):
+    # the id leads the merge key, so each observable of a stack keeps the
+    # terms, coefficients and term order it gets when propagated alone
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, n if kind != "e2" else n - 1)
+    if kind == "e1":
+        circuit = build_zz_feature_map(x, int(rng.integers(1, 3)),
+                                       float(rng.uniform(0.3, 2.0)))
+    elif kind == "e2":
+        circuit = build_heisenberg_embedding(
+            x, 1, float(rng.uniform(0.3, 2.0)), int(rng.integers(100)))
+    else:
+        circuit = _random_circuit(rng, n, int(rng.integers(1, 40)))
+    multi = _random_observable(rng, n)
+    negated = ObservableSum({p: -c for p, c in multi.terms().items()})
+    parts = [ObservableSum({PauliString.single(q, b): 1.0})
+             for q in range(n) for b in "XYZ"]
+    parts += [multi, negated, _random_observable(rng, n), ObservableSum()]
+    parts = [parts[i] for i in rng.permutation(len(parts))]
+    stack = ObservableSum.stack(parts)
+    for threshold in (0.0, 0.05, 0.1):
+        out = backpropagate_observable(circuit, stack, threshold)
+        assert out.n_obs == len(parts)
+        values = obp_expectations(out)
+        total = 0
+        for k, part in enumerate(parts):
+            alone = backpropagate_observable(circuit, part, threshold)
+            mine = out.ids == k
+            assert out.xs[mine].tobytes() == alone.xs.tobytes()
+            assert out.zs[mine].tobytes() == alone.zs.tobytes()
+            assert out.cs[mine].tobytes() == alone.cs.tobytes()
+            assert values[k] == obp_expectation(alone)
+            total += len(alone)
+        assert len(out) == total
+
+
+def test_stack_of_stacks_and_single_observable_readers():
+    a = ObservableSum({PauliString.from_label("ZI"): 1.0})
+    b = ObservableSum({PauliString.from_label("IZ"): -2.0,
+                       PauliString.from_label("XI"): 1.0})
+    nested = ObservableSum.stack([a, ObservableSum.stack([ObservableSum(), b])])
+    assert nested.n_obs == 3
+    assert nested.ids.tolist() == [0, 2, 2]
+    assert obp_expectations(nested).tolist() == [1.0, 0.0, -2.0]
+    for read in (obp_expectation, ObservableSum.terms):
+        with pytest.raises(ConfigError):
+            read(nested)
+    with pytest.raises(ConfigError):
+        nested.coefficient(PauliString.from_label("ZI"))
