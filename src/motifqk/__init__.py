@@ -1,13 +1,15 @@
 """Projected quantum kernels for CAR T-cell motif cytotoxicity prediction."""
 
-from .errors import BackendError, ConfigError, DataError, MotifqkError
+from .errors import (BackendError, ConfigError, DataError, MotifqkError,
+                     SolverError)
 from .data import (Construct, EncodedDataset, EncodedSample, EncodingLayout,
                    MOTIF_CATALOG, Motif, binarize_cytotoxicity,
                    correlation_order, decode_one_hot, encode_dataset,
                    encode_one_hot, load_constructs, matthews_corr)
 from .circuits import (Circuit, CircuitStats, Gate, build_heisenberg_embedding,
-                       build_zz_feature_map, circuit_stats)
-from .statevector import pauli_expectation, sample_expectation, simulate
+                       build_zz_feature_map, circuit_stats, simplify)
+from .statevector import (bloch_vectors, pauli_expectation,
+                          sample_expectation, simulate)
 from .pauliprop import (ObservableSum, PauliString, backpropagate_observable,
                         obp_expectation, obp_expectations)
 from .features import (BackendConfig, EmbeddingConfig, feature_names,

@@ -77,6 +77,40 @@ def circuit_stats(circuit: Circuit) -> CircuitStats:
     return CircuitStats(len(circuit.gates), n_two, max(depth, default=0))
 
 
+def simplify(circuit: Circuit) -> Circuit:
+    """The same unitary with identity gates and cancelling pairs removed.
+
+    Drops rotations by exactly 0.0, cancels H·H and same-operand CX·CX
+    when no live gate sits between them on their qubits, and merges
+    same-axis rotations on one qubit (dropping the merge when its angle is
+    exactly 0.0). Each qubit keeps a stack of its live gates, so a
+    cancellation exposes the gate below it and cancellations cascade.
+    Merged angles are sums, so amplitudes can move in the last bits.
+    """
+    out: list[Gate | None] = []
+    live: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    for g in circuit.gates:
+        if g.kind in ROTATION_KINDS and g.angle == 0.0:
+            continue
+        tops = [live[q][-1] if live[q] else -1 for q in g.qubits]
+        top = tops[0]
+        prev = out[top] if top >= 0 and len(set(tops)) == 1 else None
+        if prev is not None and prev.kind == g.kind \
+                and prev.qubits == g.qubits:
+            angle = None if g.angle is None else prev.angle + g.angle
+            if angle is None or angle == 0.0:
+                out[top] = None
+                for q in g.qubits:
+                    live[q].pop()
+            else:
+                out[top] = Gate(g.kind, g.qubits, angle)
+            continue
+        for q in g.qubits:
+            live[q].append(len(out))
+        out.append(g)
+    return Circuit(circuit.n_qubits, tuple(g for g in out if g is not None))
+
+
 def _chain_pairs(n: int) -> list[tuple[int, int]]:
     # even-index pairs first, then odd: disjoint pairs share a depth layer
     return ([(j, j + 1) for j in range(0, n - 1, 2)]

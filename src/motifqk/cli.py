@@ -1,7 +1,8 @@
 """Command-line entry points for each pipeline stage.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for data
-problems, 4 when a backend cannot serve the request.
+problems, 4 when a backend cannot serve the request, 5 when the SVM solver
+ends in a state that breaks its optimality checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import BackendError, ConfigError, DataError
+from .errors import BackendError, ConfigError, DataError, SolverError
 from . import data as dataio
 from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
                        parse_scale, project_features, write_feature_csv)
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 4
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -19,3 +19,7 @@ class DataError(MotifqkError):
 
 class BackendError(MotifqkError):
     """Simulation backend cannot handle the request (size caps, bad descriptor)."""
+
+
+class SolverError(MotifqkError):
+    """The SVM solver's result breaks an optimality condition it checks."""

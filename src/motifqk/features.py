@@ -1,11 +1,13 @@
 """Projected-feature extraction: embed each sample, read out every 1-RDM.
 
 For an n-qubit embedding the feature row is (X_0, Y_0, Z_0, X_1, ...): all
-3n single-qubit Pauli expectations of the embedded state. Backends: dense
-statevector (exact or with binomial shot noise) up to
-statevector.DEFAULT_QUBIT_CAP qubits, noise-free operator backpropagation
-up to 64 qubits. Backpropagation reads a sample's 3n observables in one
-pass, as one stack (see pauliprop).
+3n single-qubit Pauli expectations of the embedded state. Backends: exact
+statevector readout (``statevector.bloch_vectors``, optionally with
+binomial shot noise), which simulates each CX-connected cluster of the
+simplified circuit on its own and so serves any width whose largest
+cluster fits under statevector.DEFAULT_QUBIT_CAP qubits; and noise-free
+operator backpropagation up to 64 qubits. Backpropagation reads a
+sample's 3n observables in one pass, as one stack (see pauliprop).
 
 Truncated backpropagation estimates each expectation with bounded error,
 which can leave a per-qubit triple slightly outside the unit Bloch ball;
@@ -203,30 +205,31 @@ def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
         if off_ball.any():
             vecs[off_ball] /= radii[off_ball, None]
         return out
-    bits_key = "".join(str(int(b)) for b in row)
-    psi = sv.simulate(circuit)
-    for q in range(n):
-        for k, b in enumerate(BASES):
-            val = sv.pauli_expectation(psi, q, b)
-            if backend.kind == "shots":
-                val = sv.binomial_estimate(
-                    val, backend.shots,
+    out[:] = sv.bloch_vectors(circuit).reshape(-1)
+    if backend.kind == "shots":
+        bits_key = "".join(str(int(b)) for b in row)
+        for q in range(n):
+            for k, b in enumerate(BASES):
+                out[3 * q + k] = sv.binomial_estimate(
+                    out[3 * q + k], backend.shots,
                     _shot_seed(backend.seed, bits_key, q, b))
-            out[3 * q + k] = val
-    if backend.kind == "exact":
-        radii_sq = (out.reshape(n, 3) ** 2).sum(axis=1)
-        if radii_sq.max() > 1.0 + BLOCH_TOL:
-            raise BackendError(
-                f"single-qubit Bloch bound violated: squared radius "
-                f"{radii_sq.max()!r} on the exact backend")
+        return out
+    radii_sq = (out.reshape(n, 3) ** 2).sum(axis=1)
+    if radii_sq.max() > 1.0 + BLOCH_TOL:
+        raise BackendError(
+            f"single-qubit Bloch bound violated: squared radius "
+            f"{radii_sq.max()!r} on the exact backend")
     return out
 
 
 def _cache_path(cache_dir: Path, bits_key: str, embedding: EmbeddingConfig,
                 backend: BackendConfig) -> Path:
-    key = hashlib.sha256(
-        f"{bits_key}|{embedding.descriptor()}|{backend.descriptor()}"
-        .encode()).hexdigest()
+    text = f"{bits_key}|{embedding.descriptor()}|{backend.descriptor()}"
+    if backend.kind != "obp":
+        # rows read per cluster differ from the old whole-register
+        # readout in the last bits; keep the two apart
+        text += "|readout=cluster"
+    key = hashlib.sha256(text.encode()).hexdigest()
     return cache_dir / key[:2] / f"{key}.npy"
 
 
@@ -247,10 +250,6 @@ def project_features(bits, embedding: EmbeddingConfig,
     check_n_jobs(n_jobs)
     X = _check_bits(bits)
     n = embedding.n_qubits(X.shape[1])
-    if backend.kind in ("exact", "shots") and n > sv.DEFAULT_QUBIT_CAP:
-        raise BackendError(
-            f"{backend.kind} backend capped at {sv.DEFAULT_QUBIT_CAP} qubits "
-            f"but the embedding needs {n}; use obp:<threshold>")
     width = 3 * n
     out = np.empty((X.shape[0], width), dtype=np.float64)
     todo = []

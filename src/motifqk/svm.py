@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SolverError
 from .kernels import KernelSpec, kernel_matrix, resolve_gamma
 
 MODEL_FORMAT = "motifqk-svm-v1"
@@ -95,12 +95,35 @@ def _violating_pair(score, yf, alpha, C: float, eps: float):
     return i, float(up_score[i]), j, float(down_score[j])
 
 
+def _check_solution(alpha, yf, margins, C: float, slack: float) -> None:
+    """Raise ``SolverError`` unless the dual solution keeps sum(alpha*y) = 0
+    and, for a converged fit (``margins`` given), meets the KKT conditions
+    within ``slack``. Written so that a NaN fails every check."""
+    drift = abs(float(np.dot(alpha, yf)))
+    if not drift < 1e-6:
+        raise SolverError(
+            f"SMO equality constraint drifted: |sum(alpha*y)| = {drift:.3e}")
+    if margins is None:
+        return
+    at_zero, at_C = alpha <= C * 1e-8, alpha >= C * (1.0 - 1e-8)
+    free = ~at_zero & ~at_C
+    for name, ok in (("zero-alpha", margins[at_zero] >= 1.0 - slack),
+                     ("bound-alpha", margins[at_C] <= 1.0 + slack),
+                     ("free", np.abs(margins[free] - 1.0) <= slack)):
+        if not ok.all():
+            raise SolverError(
+                f"SMO KKT condition violated on {int((~ok).sum())} "
+                f"{name} point(s) of a converged fit")
+
+
 def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
               max_passes: int = 200) -> SvmModel:
     """Solve the soft-margin dual for one kernel/C setting.
 
     ``max_passes`` bounds the work at max_passes * N pair updates; hitting
-    it raises a convergence warning rather than an error.
+    it raises a convergence warning rather than an error. A result that
+    breaks the equality constraint, or a converged one that breaks the KKT
+    conditions, raises ``SolverError``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -154,20 +177,14 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
             warnings.warn(
                 f"SMO hit max_passes with duality gap {m - M:.3e} > {tol}",
                 RuntimeWarning)
-    assert abs(float(np.dot(alpha, yf))) < 1e-6, "equality constraint drifted"
     free = (alpha > C * 1e-8) & (alpha < C * (1.0 - 1e-8))
     if free.any():
         bias = float(np.mean(score[free]))
     else:
         _, m, _, M = _violating_pair(score, yf, alpha, C, eps)
         bias = (m + M) / 2.0
-    if converged:
-        margins = yf * (K @ (alpha * yf) + bias)
-        slack = tol + 1e-8
-        at_zero, at_C = alpha <= C * 1e-8, alpha >= C * (1.0 - 1e-8)
-        assert (margins[at_zero] >= 1.0 - slack).all(), "KKT: zero-alpha"
-        assert (margins[at_C] <= 1.0 + slack).all(), "KKT: bound-alpha"
-        assert (np.abs(margins[free] - 1.0) <= slack).all(), "KKT: free"
+    margins = yf * (K @ (alpha * yf) + bias) if converged else None
+    _check_solution(alpha, yf, margins, C, tol + 1e-8)
     sv = alpha > C * 1e-8
     idx = np.flatnonzero(sv)
     return SvmModel(spec, float(C), gamma, idx,

@@ -13,6 +13,7 @@ from motifqk.circuits import (
     build_heisenberg_embedding,
     build_zz_feature_map,
     circuit_stats,
+    simplify,
 )
 from motifqk.errors import ConfigError
 
@@ -178,3 +179,61 @@ def test_heisenberg_counts_formula(n_feat, steps, seed):
     assert stats.total_gates == n + steps * 17 * (n - 1)
     assert stats.two_qubit_gates == steps * 6 * (n - 1)
     assert stats.two_qubit_depth == 12 * steps
+
+
+def _gates(*specs):
+    return tuple(Gate(*spec) for spec in specs)
+
+
+def _simplified(n, *specs):
+    return simplify(Circuit(n, _gates(*specs))).gates
+
+
+def test_simplify_cancels_adjacent_pairs():
+    assert _simplified(1, ("H", (0,)), ("H", (0,))) == ()
+    assert _simplified(2, ("CX", (0, 1)), ("CX", (0, 1))) == ()
+    for kind in ("RX", "RY", "RZ"):
+        assert _simplified(1, (kind, (0,), 0.7), (kind, (0,), -0.7)) == ()
+    assert _simplified(1, ("RZ", (0,), 0.0)) == ()
+    # a gate on another qubit does not separate a pair
+    assert _simplified(3, ("CX", (0, 1)), ("H", (2,)), ("CX", (0, 1))) \
+        == _gates(("H", (2,)))
+
+
+def test_simplify_merges_same_axis_rotations():
+    assert _simplified(1, ("RX", (0,), 0.25), ("RX", (0,), 0.5)) \
+        == _gates(("RX", (0,), 0.75))
+    assert _simplified(1, ("RX", (0,), 0.25), ("RY", (0,), 0.5)) \
+        == _gates(("RX", (0,), 0.25), ("RY", (0,), 0.5))
+
+
+def test_simplify_cancellations_cascade():
+    # E1's CX·RZ(0)·CX on an unset pair, inside H·H
+    assert _simplified(2, ("H", (0,)), ("CX", (0, 1)), ("RZ", (1,), 0.0),
+                       ("CX", (0, 1)), ("H", (0,))) == ()
+    assert _simplified(1, ("RY", (0,), 0.3), ("H", (0,)), ("RZ", (0,), 0.0),
+                       ("H", (0,)), ("RY", (0,), -0.3)) == ()
+    # the exposed gate merges with the next one
+    assert _simplified(1, ("RZ", (0,), 0.5), ("H", (0,)), ("H", (0,)),
+                       ("RZ", (0,), 0.25)) == _gates(("RZ", (0,), 0.75))
+
+
+def test_simplify_keeps_gates_that_do_not_cancel():
+    kept = _gates(("CX", (0, 1)), ("H", (1,)), ("CX", (0, 1)))
+    assert simplify(Circuit(2, kept)).gates == kept
+    kept = _gates(("CX", (0, 1)), ("CX", (1, 0)))
+    assert simplify(Circuit(2, kept)).gates == kept
+    kept = _gates(("CX", (0, 1)), ("H", (0,)), ("CX", (0, 1)))
+    assert simplify(Circuit(2, kept)).gates == kept
+
+
+def test_simplify_e1_one_hot_row_is_a_product_circuit():
+    # no two adjacent bits set: every entangling block and every unset
+    # qubit's H^8 cancel, leaving (H·RZ)^8 on each set qubit
+    x = np.zeros(60)
+    x[[3, 17, 30, 58]] = 1.0
+    circuit = simplify(build_zz_feature_map(x, reps=8, scale=math.pi / 2))
+    assert circuit.n_qubits == 60
+    assert len(circuit.gates) == 4 * 16
+    assert {g.qubits[0] for g in circuit.gates} == {3, 17, 30, 58}
+    assert all(g.kind in ("H", "RZ") for g in circuit.gates)

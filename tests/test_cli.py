@@ -86,12 +86,27 @@ def test_embed_rejects_unread_flag_and_bad_jobs(tmp_path, encoded_csv, flags,
     assert not out.exists()
 
 
-def test_embed_exact_backend_over_cap(tmp_path, encoded_csv):
-    rc = main(["embed", "--input", str(encoded_csv),
+def test_embed_exact_backend_over_cap(tmp_path):
+    # all 60 bits set: every chain pair entangles, one 60-qubit cluster
+    dense = tmp_path / "dense.csv"
+    dense.write_text(",".join([f"b{i}" for i in range(60)] + ["label"])
+                     + "\n" + ",".join(["1"] * 60 + ["1"]) + "\n")
+    rc = main(["embed", "--input", str(dense),
                "--output", str(tmp_path / "f.csv"),
                "--embedding", "e1", "--reps", "6", "--scale", "pi2",
                "--backend", "exact", "--seed", "0"])
     assert rc == 4
+
+
+def test_embed_exact_backend_one_hot_rows(tmp_path, encoded_csv):
+    # one-hot rows split into small clusters, so 60 bits are served exactly
+    out = tmp_path / "f.csv"
+    rc = main(["embed", "--input", str(encoded_csv), "--output", str(out),
+               "--embedding", "e1", "--reps", "6", "--scale", "pi2",
+               "--backend", "exact", "--seed", "0"])
+    assert rc == 0
+    feats, _ = load_feature_csv(out)
+    assert feats.shape == (10, 180)
 
 
 def test_embed_cache_reuse(tmp_path, encoded_csv, caplog):
@@ -123,6 +138,21 @@ def test_train_evaluate_round_trip(tmp_path, feature_csv):
     assert 0.0 <= data["weighted_f1"] <= 1.0
     assert data["n"] == 10
     assert 0.0 <= data["accuracy"] <= 1.0
+
+
+def test_train_solver_error_exits_5(tmp_path, feature_csv, monkeypatch):
+    from motifqk import svm
+    from motifqk.errors import SolverError
+
+    def broken(*args):
+        raise SolverError("KKT condition violated")
+
+    monkeypatch.setattr(svm, "_check_solution", broken)
+    model = tmp_path / "model.json"
+    rc = main(["train", "--features", str(feature_csv), "--output",
+               str(model), "--kernel", "rbf", "--c", "2.0"])
+    assert rc == 5
+    assert not model.exists()
 
 
 def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from motifqk import features
+from motifqk.data import correlation_order
 from motifqk.errors import BackendError, ConfigError, DataError
 from motifqk.features import (
     BackendConfig,
@@ -100,13 +101,15 @@ def test_descriptors_and_cache_paths_are_pinned():
         == ["obp:0.05", "exact", "shots:100:seed=5"]
     paths = [_cache_path(Path("c"), "01" * 30, e, b).as_posix()
              for e in (e1, e2) for b in backends]
+    # exact and shots keys carry the "|readout=cluster" tag, so rows of the
+    # whole-register readout (different in the last bits) are not reused
     assert paths == [
         "c/91/9151c27b60de44594e5736a4fede100ccc676ca25fe77d24cd12dd3546e40890.npy",
-        "c/c5/c5354256c1a2e69dd19ed14779765681e2c1201632886324aa4844530f4aed51.npy",
-        "c/20/2091b79eaa7c0cae100129f9424f2acf259d5914fe922fa0a5ff8bc5b7044b7d.npy",
+        "c/fb/fb7210aa6c840d259c82aaac9d53bcd905226353ade5b65c7bcdce88304416cd.npy",
+        "c/5a/5abc641721f2effb76b710f21035934c61f5d43e1e6994884f68b22fb04ac990.npy",
         "c/20/20c902d218a96c5ed1fa8625ab0199c3a93c79053ab315e262ce3f591aa6096c.npy",
-        "c/07/07365bbf02851a908c1af1196a6815dddcce94e5141510c6dce6437d7d0a5595.npy",
-        "c/14/14827594a3ebd3f65179078a53d902dbc25e92589cda78e0db586bae03740e24.npy",
+        "c/90/90505198255147c6418cfacc576ce3e68b5f1275357b770e03cb5f8185844a31.npy",
+        "c/ca/ca8b1c143005bb9ca64b1e75e3b554a7c5a0d2efaf8ecbbf385bc4efe9cb2742.npy",
     ]
 
 
@@ -125,6 +128,37 @@ def test_obp_features_at_60_bits_are_pinned():
         "bbadc7a6db1e2b95ad3e55b88bb91bd08e1c10854acea04ebc9244f1a8af5050",
         "69344f2e741ad8dd20ade2eaa6072b0624bea5123f8f63f652dd63794d36d38f",
     ]
+
+
+def test_e1_natural_order_product_state_is_analytic():
+    # with no two adjacent bits set every E1 entangler is CX·RZ(0)·CX, so
+    # each qubit runs (RZ(pi*x)·H)^reps alone: the identity at reps 8 and
+    # a bit flip of the set qubits at reps 6 (ROADMAP item 2)
+    rng = np.random.default_rng(11)
+    bits = rng.random((6, 60)) < 0.3
+    bits[:, 1:] &= ~bits[:, :-1]
+    bits = bits.astype(np.uint8)
+    assert bits.sum() > 0 and not (bits[:, 1:] & bits[:, :-1]).any()
+    reps8 = project_features(
+        bits, EmbeddingConfig("e1", reps=8, scale=math.pi / 2), EXACT)
+    assert np.abs(reps8 - np.tile([0.0, 0.0, 1.0], 60)).max() <= 1e-12
+    reps6 = project_features(
+        bits, EmbeddingConfig("e1", reps=6, scale=math.pi / 2), EXACT)
+    assert np.abs(reps6[:, 2::3] - (1.0 - 2.0 * bits)).max() <= 1e-12
+
+
+def test_exact_features_at_60_bits_match_untruncated_obp(small_dataset):
+    # golden: obp at threshold 0 is exact up to rounding; E1 in correlation
+    # order entangles neighbouring set bits into clusters of up to 4 qubits
+    bits = small_dataset.bits[:5]
+    e1_bits = bits[:, correlation_order(small_dataset.bits)]
+    e1 = EmbeddingConfig("e1", reps=8, scale=math.pi / 2)
+    e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    for emb, rows in ((e1, e1_bits), (e2, bits)):
+        exact = project_features(rows, emb, EXACT)
+        assert exact.shape == (5, 3 * emb.n_qubits(60))
+        assert np.abs(exact - project_features(rows, emb, OBP0)).max() \
+            <= 1e-12
 
 
 def test_feature_names_layout():
@@ -217,11 +251,21 @@ def test_truncated_triples_projected_onto_bloch_ball():
             assert np.array_equal(vecs[q], raw[q])
 
 
-def test_exact_backend_qubit_cap(rng):
-    bits = _bits(rng, 1, 60)
+def test_exact_backend_qubit_cap():
+    # the cap applies to the widest CX-connected cluster: an all-ones row
+    # couples every chain pair into one 60-qubit cluster
     emb = EmbeddingConfig(kind="e1", reps=4, scale=math.pi)
-    with pytest.raises(BackendError):
-        project_features(bits, emb, EXACT)
+    with pytest.raises(BackendError, match="cluster"):
+        project_features(np.ones((1, 60), dtype=np.uint8), emb, EXACT)
+
+
+def test_exact_backend_serves_one_hot_rows_at_60_bits():
+    bits = np.zeros((1, 60), dtype=np.uint8)
+    bits[0, 17] = 1
+    emb = EmbeddingConfig(kind="e1", reps=4, scale=math.pi)
+    feats = project_features(bits, emb, EXACT)
+    assert feats.shape == (1, 180)
+    assert np.allclose(feats, project_features(bits, emb, OBP0), atol=1e-12)
 
 
 def test_cache_round_trip(tmp_path, rng):

@@ -42,10 +42,12 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
             assert wrapped is not original
             assert wrapped.__wrapped__ is original
         features = importlib.import_module("motifqk.features")
-        features.project_features(
-            np.array([[1, 0, 1]]),
-            EmbeddingConfig("e1", reps=1, scale=1.0, test_mode=True),
-            BackendConfig.parse("obp:0"))
+        emb = EmbeddingConfig("e1", reps=1, scale=1.0, test_mode=True)
+        features.project_features(np.array([[1, 0, 1]]), emb,
+                                  BackendConfig.parse("obp:0"))
+        obp_end = tracer.mark()
+        features.project_features(np.array([[1, 0, 1]]), emb,
+                                  BackendConfig.parse("exact"))
     finally:
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
@@ -53,6 +55,13 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
             is original
     # one build and one propagation pass per obp sample
     names = [s.name for s in tracer.spans]
-    assert names == ["features.project", "circuits.build",
-                     "pauliprop.backprop"]
+    assert names[:obp_end] == ["features.project", "circuits.build",
+                               "pauliprop.backprop"]
     assert tracer.spans[2].note["terms_out"] > 0
+    # one build per exact sample and one simulation per non-trivial
+    # cluster: [1, 0, 1] leaves three one-qubit clusters (H·RZ, H, H·RZ)
+    exact = names[obp_end:]
+    assert exact[:2] == ["features.project", "circuits.build"]
+    assert exact.count("circuits.build") == 1
+    assert exact.count("statevector.simulate") == 3
+    assert exact.count("statevector.expectation") == 9

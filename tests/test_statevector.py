@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifqk.circuits import Circuit, Gate, build_zz_feature_map
+from motifqk.circuits import Circuit, Gate, build_heisenberg_embedding, \
+    build_zz_feature_map, simplify
 from motifqk.errors import BackendError, ConfigError
-from motifqk.statevector import pauli_expectation, sample_expectation, simulate
+from motifqk.statevector import bloch_vectors, pauli_expectation, \
+    sample_expectation, simulate
 
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,6 +146,77 @@ def test_simulate_matches_dense_oracle(n, seed):
             full = _embed_1q(mat, q, n)
             want = float(np.real(np.conj(expected) @ full @ expected))
             assert pauli_expectation(state, q, basis) == pytest.approx(want, abs=1e-12)
+
+
+def _dense_bloch(circuit):
+    state = simulate(circuit)
+    return np.array([[pauli_expectation(state, q, b) for b in "XYZ"]
+                     for q in range(circuit.n_qubits)])
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_simplify_keeps_the_state(n, seed):
+    # a small alphabet with zero and opposite angles, so pairs cancel
+    rng = np.random.default_rng(seed)
+    kinds = ["H", "RX", "RZ", "CX"] if n > 1 else ["H", "RX", "RZ"]
+    gates = []
+    for _ in range(int(rng.integers(1, 30))):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "CX":
+            a, b = rng.choice(min(n, 3), size=2, replace=False)
+            gates.append(Gate("CX", (int(a), int(b))))
+        elif kind == "H":
+            gates.append(Gate("H", (int(rng.integers(n)),)))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(n)),),
+                              float(rng.choice([0.0, 0.5, -0.5]))))
+    circuit = Circuit(n, tuple(gates))
+    simple = simplify(circuit)
+    assert len(simple.gates) <= len(circuit.gates)
+    assert np.allclose(simulate(simple), simulate(circuit), atol=1e-12)
+
+
+@given(st.sampled_from(["e1", "e2"]), st.integers(min_value=2, max_value=20),
+       st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cluster_readout_matches_dense(kind, width, binary, seed):
+    rng = np.random.default_rng(seed)
+    d = width if kind == "e1" else width - 1
+    if binary:
+        # sparse rows leave most data gates at angle 0: many clusters
+        x = (rng.random(d) < rng.choice([0.1, 0.3, 0.6])).astype(float)
+        scale = float(rng.choice([math.pi, math.pi / 2]))
+    else:
+        x = rng.uniform(0.0, 1.0, d)
+        scale = float(rng.uniform(0.3, math.pi))
+    layers = 1 if width > 12 else int(rng.integers(1, 3))
+    if kind == "e1":
+        circuit = build_zz_feature_map(x, reps=layers, scale=scale)
+    else:
+        circuit = build_heisenberg_embedding(x, steps=layers, scale=scale,
+                                             seed=seed)
+    got = bloch_vectors(circuit)
+    assert got.shape == (circuit.n_qubits, 3)
+    assert np.abs(got - _dense_bloch(circuit)).max() <= 1e-12
+
+
+def test_bloch_vectors_untouched_qubits_and_cluster_cap():
+    got = bloch_vectors(Circuit(3, (Gate("RY", (1,), 0.7),
+                                    Gate("RZ", (2,), 0.0))))
+    assert np.array_equal(got[[0, 2]], [[0.0, 0.0, 1.0]] * 2)
+    assert got[1] == pytest.approx([math.sin(0.7), 0.0, math.cos(0.7)],
+                                   abs=1e-12)
+    # 40 qubits in one CX chain: one cluster over the cap, refused before
+    # any simulation; the same width as disjoint pairs is served
+    chain = tuple(Gate("CX", (q, q + 1)) for q in range(39))
+    with pytest.raises(BackendError, match="cluster"):
+        bloch_vectors(Circuit(40, (Gate("H", (0,)),) + chain))
+    pairs = tuple(g for q in range(0, 40, 2)
+                  for g in (Gate("H", (q,)), Gate("CX", (q, q + 1))))
+    got = bloch_vectors(Circuit(40, pairs))
+    assert np.allclose(got, 0.0, atol=1e-12)
 
 
 def test_simulate_qubit_cap():

@@ -1,11 +1,18 @@
 """SVM trainer, scorer, and grid tests with a projected-gradient QP oracle."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from motifqk.errors import ConfigError, DataError
+import motifqk
+from motifqk import svm
+from motifqk.errors import ConfigError, DataError, SolverError
 from motifqk.kernels import KernelSpec, kernel_matrix, resolve_gamma
 from motifqk.svm import (
     C_VALUES,
@@ -305,3 +312,74 @@ def test_kkt_conditions_hold(rng):
                 assert margins[i] <= 1.0 + 1e-3
             else:
                 assert margins[i] == pytest.approx(1.0, abs=1e-3)
+
+
+def _overlapping_problem():
+    # two overlapping blobs: a converged fit has points at 0, at C and free
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(-0.5, 1.0, (20, 2)),
+                   rng.normal(0.5, 1.0, (20, 2))])
+    return X, np.repeat([1, -1], 20)
+
+
+def _perturbed(check):
+    """A stand-in for ``svm._check_solution`` that breaks one condition of
+    the real solution, then runs the real check on it."""
+    real = svm._check_solution
+
+    def wrapper(alpha, yf, margins, C, slack):
+        alpha, margins = alpha.copy(), margins.copy()
+        at_zero, at_C = alpha <= C * 1e-8, alpha >= C * (1.0 - 1e-8)
+        mask = {"equality": np.arange(len(alpha)) == 0,
+                "zero-alpha": at_zero, "bound-alpha": at_C,
+                "free": ~at_zero & ~at_C}[check]
+        assert mask.any(), f"no {check} point to perturb"
+        if check == "equality":
+            alpha[mask] += 1e-3
+        elif check == "zero-alpha":
+            margins[mask] -= 1.0
+        else:
+            margins[mask] += 1.0
+        return real(alpha, yf, margins, C, slack)
+    return wrapper
+
+
+@pytest.mark.parametrize("check",
+                         ["equality", "zero-alpha", "bound-alpha", "free"])
+def test_smo_broken_solution_is_solver_error(check, monkeypatch):
+    X, y = _overlapping_problem()
+    smo_train(X, y, KernelSpec(kind="linear"), C=1.0)  # the real fit passes
+    monkeypatch.setattr(svm, "_check_solution", _perturbed(check))
+    with pytest.raises(SolverError, match=check):
+        smo_train(X, y, KernelSpec(kind="linear"), C=1.0)
+
+
+def test_smo_solver_error_survives_python_O():
+    # an assert would vanish under -O; the typed error must not
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from motifqk import svm
+        from motifqk.errors import SolverError
+        from motifqk.kernels import KernelSpec
+        real = svm._check_solution
+
+        def drifted(alpha, *rest):
+            alpha = alpha.copy()
+            alpha[0] += 1e-3
+            return real(alpha, *rest)
+
+        svm._check_solution = drifted
+        X = np.array([[1.0], [2.0], [-1.0], [-2.0]])
+        try:
+            svm.smo_train(X, np.array([1, 1, -1, -1]), KernelSpec("linear"),
+                          1.0)
+        except SolverError:
+            print("SolverError", sys.flags.optimize)
+    """)
+    src = str(Path(motifqk.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["SolverError", "1"]
