@@ -274,10 +274,12 @@ def _run_arm(X, y, tr, te, config: ExperimentConfig):
                       max_passes=config.smo_max_passes)
     preds = predict(model, X[list(te)])
     kind, c_val, g_val = gs.best
+    nonconverged = gs.nonconverged_fits + (not model.converged)
     chosen = {"kernel": kind, "C": c_val,
               "gamma": g_val if isinstance(g_val, str) else float(g_val),
               "mean_cv_f1": float(gs.means[gs.best_index]),
-              "folds": gs.folds}
+              "folds": gs.folds,
+              "nonconverged_fits": nonconverged}
     return preds, chosen
 
 

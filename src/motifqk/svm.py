@@ -3,6 +3,17 @@
 The solver keeps the full gradient and always optimizes the maximal
 violating pair, stopping when the duality-gap bound m - M drops below tol;
 that guarantees the KKT conditions hold within tol for the returned bias.
+
+One pair update costs a fixed number of numpy calls on preallocated
+buffers. Which indices may move up or down is kept as two additive bias
+vectors (0 or -/+inf on the score), and only the two entries that moved
+are updated after a step. The gradient update reads rows Q[i], Q[j] in
+place of columns: ``kernel_matrix`` returns (K + K.T) / 2, which is
+symmetric bit for bit, and so is Q = K * outer(y, y), so rows and columns
+are the same numbers in contiguous memory. Every floating-point operation,
+and its order, is that of a loop that rebuilds these arrays on each step
+(kept in the tests as the reference), so fits match it bit for bit.
+
 Grid search evaluates candidates in declared order under shared stratified
 folds so results are exactly reproducible.
 """
@@ -25,6 +36,10 @@ MODEL_FORMAT = "motifqk-svm-v1"
 
 @dataclass
 class SvmModel:
+    """A trained model. ``converged`` is False when the fit warned that it
+    stalled or stopped at ``max_passes`` above tol; it is not saved, so a
+    loaded model reads True."""
+
     spec: KernelSpec
     C: float
     gamma_value: float
@@ -33,6 +48,7 @@ class SvmModel:
     support_vectors: np.ndarray
     bias: float
     train_hash: str
+    converged: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -82,17 +98,27 @@ def _train_hash(X: np.ndarray, y: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def _violating_pair(score, yf, alpha, C: float, eps: float):
+def _may_move(y: float, a: float, C: float, eps: float):
+    """The maximal-violating-pair rule for one index, as additive biases on
+    its score: (0.0 if alpha may move up else -inf, 0.0 if it may move down
+    else +inf)."""
+    up = a < C - eps if y > 0 else a > eps
+    down = a > eps if y > 0 else a < C - eps
+    return 0.0 if up else -math.inf, 0.0 if down else math.inf
+
+
+def _violating_pair(score, up, down, buf):
     """Maximal violating pair (i, m, j, M): i maximizes the score over the
     indices that may move up, j minimizes it over those that may move down;
-    m - M bounds the duality gap."""
-    up = ((yf > 0) & (alpha < C - eps)) | ((yf < 0) & (alpha > eps))
-    down = ((yf > 0) & (alpha > eps)) | ((yf < 0) & (alpha < C - eps))
-    up_score = np.where(up, score, -np.inf)
-    down_score = np.where(down, score, np.inf)
-    i = int(np.argmax(up_score))
-    j = int(np.argmin(down_score))
-    return i, float(up_score[i]), j, float(down_score[j])
+    m - M bounds the duality gap. ``up``/``down`` are the biases of
+    ``_may_move``; ``buf`` is scratch of the score's shape."""
+    i = int(np.add(score, up, out=buf).argmax())
+    j = int(np.add(score, down, out=buf).argmin())
+    # read the scores themselves: adding the 0.0 bias turns -0.0 into +0.0,
+    # and m, M set the bias of a fit without free alphas
+    m = score.item(i) if up[i] == 0.0 else -math.inf
+    M = score.item(j) if down[j] == 0.0 else math.inf
+    return i, m, j, M
 
 
 def _check_solution(alpha, yf, margins, C: float, slack: float) -> None:
@@ -142,38 +168,54 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     gamma = resolve_gamma(spec, X)
     K = kernel_matrix(X, spec, gamma=gamma)
     Q = K * np.outer(yf, yf)
-    alpha = np.zeros(N)
-    grad = -np.ones(N)
     eps = 1e-12
-    converged = False
+    ys = yf.tolist()
+    K_diag = K.diagonal().tolist()
+    alpha = [0.0] * N
+    up, down = (np.array(b) for b in
+                zip(*(_may_move(yk, 0.0, C, eps) for yk in ys)))
+    neg_yf = -yf
+    grad = -np.ones(N)
+    score, buf, step_i, step_j = (np.empty(N) for _ in range(4))
+    reached_tol = False
     for _ in range(max_passes * N):
-        i, m, j, M = _violating_pair(-yf * grad, yf, alpha, C, eps)
+        i, m, j, M = _violating_pair(np.multiply(neg_yf, grad, out=score),
+                                     up, down, buf)
         if m - M <= tol:
-            converged = True
+            reached_tol = True
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = K_diag[i] + K_diag[j] - 2.0 * K.item(i, j)
         if eta <= 0:
             eta = 1e-12
-        Ei, Ej = yf[i] * grad[i], yf[j] * grad[j]
+        yi, yj = ys[i], ys[j]
+        Ei, Ej = yi * grad.item(i), yj * grad.item(j)
         ai_old, aj_old = alpha[i], alpha[j]
-        if yf[i] != yf[j]:
+        if yi != yj:
             L = max(0.0, aj_old - ai_old)
             H = min(C, C + aj_old - ai_old)
         else:
             L = max(0.0, ai_old + aj_old - C)
             H = min(C, ai_old + aj_old)
-        aj = min(max(aj_old + yf[j] * (Ei - Ej) / eta, L), H)
+        aj = min(max(aj_old + yj * (Ei - Ej) / eta, L), H)
         if abs(aj - aj_old) < 1e-15:
             warnings.warn("SMO stalled before reaching tolerance",
                           RuntimeWarning)
             break
-        ai = ai_old + yf[i] * yf[j] * (aj_old - aj)
+        ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        grad += Q[:, i] * (ai - ai_old) + Q[:, j] * (aj - aj_old)
-    score = -yf * grad
-    if not converged:
-        _, m, _, M = _violating_pair(score, yf, alpha, C, eps)
-        if m - M > tol:
+        up[i], down[i] = _may_move(yi, ai, C, eps)
+        up[j], down[j] = _may_move(yj, aj, C, eps)
+        # rows in place of columns: Q is exactly symmetric
+        np.multiply(Q[i], ai - ai_old, out=step_i)
+        np.multiply(Q[j], aj - aj_old, out=step_j)
+        grad += np.add(step_i, step_j, out=step_i)
+    alpha = np.array(alpha)
+    score = neg_yf * grad
+    converged = reached_tol
+    if not reached_tol:
+        _, m, _, M = _violating_pair(score, up, down, buf)
+        converged = m - M <= tol
+        if not converged:
             warnings.warn(
                 f"SMO hit max_passes with duality gap {m - M:.3e} > {tol}",
                 RuntimeWarning)
@@ -181,15 +223,15 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     if free.any():
         bias = float(np.mean(score[free]))
     else:
-        _, m, _, M = _violating_pair(score, yf, alpha, C, eps)
+        _, m, _, M = _violating_pair(score, up, down, buf)
         bias = (m + M) / 2.0
-    margins = yf * (K @ (alpha * yf) + bias) if converged else None
+    margins = yf * (K @ (alpha * yf) + bias) if reached_tol else None
     _check_solution(alpha, yf, margins, C, tol + 1e-8)
     sv = alpha > C * 1e-8
     idx = np.flatnonzero(sv)
     return SvmModel(spec, float(C), gamma, idx,
                     (alpha * yf)[idx], X[idx].copy(), bias,
-                    _train_hash(X, y))
+                    _train_hash(X, y), converged)
 
 
 def decision_function(model: SvmModel, X) -> np.ndarray:
@@ -280,6 +322,7 @@ class GridSearchResult:
     cv_seed: int
     degree: int = 3
     coef0: float = 0.0
+    nonconverged_fits: int = 0  # fits run (after dedup) that warned
 
     @property
     def best(self) -> tuple[str, float, object]:
@@ -344,6 +387,7 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
     means = np.empty(len(cands))
     stds = np.empty(len(cands))
     cache: dict = {}
+    nonconverged = 0
     for idx, (kind, C, g) in enumerate(cands):
         key = _effective_key(kind, C, g, grid.degree, grid.coef0)
         if key not in cache:
@@ -353,13 +397,11 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
                 tr, te = assign != f, assign == f
                 model = smo_train(X[tr], y[tr], spec, C, tol=tol,
                                   max_passes=max_passes)
+                nonconverged += not model.converged
                 scores.append(weighted_f1(y[te], predict(model, X[te])))
             scores = np.array(scores)
             cache[key] = (float(scores.mean()), float(scores.std()))
         means[idx], stds[idx] = cache[key]
-    best = 0
-    for idx in range(1, len(cands)):
-        if means[idx] > means[best]:
-            best = idx
+    best = int(np.argmax(means))  # the first maximum: ties keep the earliest
     return GridSearchResult(cands, means, stds, best, folds_eff, seed,
-                            grid.degree, grid.coef0)
+                            grid.degree, grid.coef0, nonconverged)

@@ -26,7 +26,7 @@ from motifqk.evaluation import (
 from motifqk.features import BackendConfig, EmbeddingConfig
 from motifqk.kernels import KernelSpec
 from motifqk.svm import GridConfig
-from motifqk.synthetic import make_separable_dataset
+from motifqk.synthetic import make_separable_dataset, separable_layout
 
 TINY_GRID = GridConfig(kernels=("linear",), c_values=(1.0,),
                        gamma_values=("scale",))
@@ -204,6 +204,30 @@ def test_run_experiment_chosen_structure():
             assert entry["kernel"] == "linear"
             assert entry["C"] == 1.0
             assert 0.0 <= entry["mean_cv_f1"] <= 1.0
+            assert entry["nonconverged_fits"] == 0
+
+
+def test_report_counts_nonconverged_fits():
+    # every motif pair twice with random labels: on these one-hot rows
+    # some linear C = 2000 fits stop at max_passes
+    rng = np.random.default_rng(0)
+    motif_sets = [(a, b) for a in ("M1", "M2", "M3")
+                  for b in ("M1", "M2", "M3")]
+    dataset = encode_dataset(
+        [Construct(ms, float(rng.choice([0.3, 0.9])))
+         for ms in motif_sets for _ in range(2)], separable_layout())
+    grid = GridConfig(kernels=("linear",), c_values=(2000.0,),
+                      gamma_values=("scale",))
+    config = _synthetic_config(n_splits=2, grid=grid)
+    with pytest.warns(RuntimeWarning, match="SMO hit max_passes"):
+        report = run_experiment(dataset, config)
+        again = run_experiment(dataset, config)
+    for method in ("original", "pqk"):
+        counts = [e["nonconverged_fits"] for e in report.chosen[method]]
+        # 2 CV folds + 1 refit per split
+        assert all(0 <= c <= 3 for c in counts)
+        assert sum(counts) > 0
+    assert report.dumps() == again.dumps()
 
 
 def test_per_motif_analysis_rows():

@@ -5,10 +5,13 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import motifqk
 from motifqk import svm
@@ -28,6 +31,7 @@ from motifqk.svm import (
 
 
 from _qp import dual_objective, qp_oracle
+from _smo_reference import reference_smo_train
 
 
 def _model_dual(model, X, y, spec, C):
@@ -244,6 +248,7 @@ def test_grid_search_dedup_ties_break_earliest(rng):
     result = grid_search(X, y, grid, folds=2, seed=0)
     assert result.means[0] == result.means[1]
     assert result.best_index == 0
+    assert result.nonconverged_fits == 0
 
 
 def test_grid_search_result_reports_choice(rng):
@@ -281,18 +286,108 @@ def _random_problem(rng, kernel):
     return X, y, spec, C
 
 
+def _assert_dual_matches_qp_oracle(X, y, spec, C):
+    K = kernel_matrix(X, spec, gamma=resolve_gamma(spec, X))
+    if np.linalg.eigvalsh(K).min() < -1e-8:
+        return  # indefinite sigmoid Gram: dual max not well-defined
+    model = smo_train(X, y, spec, C, tol=1e-5)
+    mine = _model_dual(model, X, y, spec, C)
+    best = dual_objective(K, y, qp_oracle(K, y, C))
+    assert abs(mine - best) <= 1e-4 * max(abs(best), 1.0)
+
+
 @pytest.mark.parametrize("kernel", ["linear", "rbf", "poly", "sigmoid"])
 def test_smo_dual_matches_qp_oracle(kernel):
-    rng = np.random.default_rng(hash(kernel) % 2**32)
+    # crc32, not hash(): str hashes are salted per process
+    rng = np.random.default_rng(zlib.crc32(kernel.encode()))
     for _ in range(4):
-        X, y, spec, C = _random_problem(rng, kernel)
-        K = kernel_matrix(X, spec, gamma=resolve_gamma(spec, X))
-        if np.linalg.eigvalsh(K).min() < -1e-8:
-            continue  # indefinite sigmoid Gram: dual max not well-defined
-        model = smo_train(X, y, spec, C, tol=1e-5)
-        mine = _model_dual(model, X, y, spec, C)
-        best = dual_objective(K, y, qp_oracle(K, y, C))
-        assert abs(mine - best) <= 1e-4 * max(abs(best), 1.0)
+        _assert_dual_matches_qp_oracle(*_random_problem(rng, kernel))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "first-order SMO zigzags on this 8-point linear draw (C = 1) and stops "
+    "at max_passes with a duality gap of 5.55e-3 at tol 1e-5; second-order "
+    "working-set selection (WSS3, Fan, Chen & Lin 2005) is the fix"))
+def test_smo_dual_matches_qp_oracle_zigzag_draw():
+    _assert_dual_matches_qp_oracle(
+        *_random_problem(np.random.default_rng(206), "linear"))
+
+
+BIT_IDENTITY_SPECS = {
+    "linear": KernelSpec("linear"),
+    "poly": KernelSpec("poly", "scale", 3, 0.0),
+    "rbf": KernelSpec("rbf", "scale"),
+    "sigmoid": KernelSpec("sigmoid", "scale", 3, 0.0),
+}
+
+
+def _bit_identity_problem(n, d, binary, scale, n_dup, seed):
+    """n rows of width d, binary or Gaussian, times ``scale``; the last
+    ``n_dup`` rows repeat the first ones with the opposite label."""
+    rng = np.random.default_rng(seed)
+    X = scale * ((rng.random((n, d)) < 0.3).astype(np.float64) if binary
+                 else rng.normal(size=(n, d)))
+    y = np.where(rng.random(n) < 0.5, -1, 1)
+    y[0], y[-1] = 1, -1
+    for k in range(min(n_dup, n // 2)):
+        X[n - 1 - k], y[n - 1 - k] = X[k], -y[k]
+    return X, y
+
+
+def _fit_record(train, X, y, spec, C, max_passes):
+    """A fit's support set, dual coefficients and bias as bytes, or the
+    error it raised, plus every warning it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            model = train(X, y, spec, C, max_passes=max_passes)
+        except SolverError as exc:
+            out = ("SolverError", str(exc))
+        else:
+            out = (model.support_idx.tolist(), model.dual_coef.tobytes(),
+                   np.float64(model.bias).tobytes())
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@given(n=st.integers(2, 40), d=st.integers(1, 6),
+       kernel=st.sampled_from(sorted(BIT_IDENTITY_SPECS)),
+       C=st.sampled_from([0.001, 1.0, 2000.0]),
+       max_passes=st.sampled_from([0, 1, 200]), binary=st.booleans(),
+       scale=st.sampled_from([1.0, 1e8]), n_dup=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+# one draw per exit: converged; stalled (linear Gram entries near 1e16
+# shrink the first step below 1e-15); stopped at max_passes
+@example(n=12, d=3, kernel="rbf", C=1.0, max_passes=200, binary=False,
+         scale=1.0, n_dup=0, seed=0)
+@example(n=6, d=2, kernel="linear", C=2000.0, max_passes=200, binary=True,
+         scale=1e8, n_dup=2, seed=1)
+@example(n=30, d=4, kernel="linear", C=2000.0, max_passes=1, binary=True,
+         scale=1.0, n_dup=0, seed=2)
+# no free alpha and both extreme scores -0.0: the bias must stay -0.0
+@example(n=8, d=2, kernel="linear", C=1.0, max_passes=200, binary=True,
+         scale=1.0, n_dup=1, seed=299)
+@settings(max_examples=150, deadline=None)
+def test_smo_matches_reference_bit_for_bit(n, d, kernel, C, max_passes,
+                                           binary, scale, n_dup, seed):
+    X, y = _bit_identity_problem(n, d, binary, scale, n_dup, seed)
+    spec = BIT_IDENTITY_SPECS[kernel]
+    assert (_fit_record(smo_train, X, y, spec, C, max_passes)
+            == _fit_record(reference_smo_train, X, y, spec, C, max_passes))
+
+
+def test_smo_matches_reference_on_one_hot_rows_at_max_passes():
+    # 120 rows of 4 one-hot positions x 15 categories with random labels:
+    # linear C = 2000 runs all max_passes * N pair updates
+    rng = np.random.default_rng(11)
+    X = np.zeros((120, 60))
+    for pos in range(4):
+        X[np.arange(120), 15 * pos + rng.integers(0, 15, 120)] = 1.0
+    y = np.where(rng.random(120) < 0.5, -1, 1)
+    spec = KernelSpec("linear")
+    mine = _fit_record(smo_train, X, y, spec, 2000.0, 200)
+    assert [msg.startswith("SMO hit max_passes") for _, msg in mine[1]] \
+        == [True]
+    assert mine == _fit_record(reference_smo_train, X, y, spec, 2000.0, 200)
 
 
 def test_kkt_conditions_hold(rng):
