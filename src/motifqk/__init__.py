@@ -8,10 +8,9 @@ from .data import (Construct, EncodedDataset, EncodedSample, EncodingLayout,
                    encode_one_hot, load_constructs, matthews_corr)
 from .circuits import (Circuit, CircuitStats, Gate, build_heisenberg_embedding,
                        build_zz_feature_map, circuit_stats, simplify)
-from .statevector import (bloch_vectors, pauli_expectation,
-                          sample_expectation, simulate)
+from .statevector import bloch_vectors, pauli_expectation, simulate
 from .pauliprop import (ObservableSum, PauliString, backpropagate_observable,
-                        obp_expectation, obp_expectations)
+                        obp_expectations)
 from .features import (BackendConfig, EmbeddingConfig, feature_names,
                        load_feature_csv, project_features, write_feature_csv)
 from .kernels import (KernelSpec, geometric_difference, jacobi_eigh,

@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
     if y is None:
         raise DataError(f"{args.features} has no label column")
     if args.grid:
-        grid = GridConfig()
+        grid = GridConfig(degree=args.degree, coef0=args.coef0)
         result = grid_search(F, y, grid, folds=args.folds, seed=args.cv_seed,
                              tol=args.tol, max_passes=args.max_passes)
         spec, C = result.best_model_inputs()

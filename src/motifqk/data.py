@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,18 +139,15 @@ class EncodedSample:
 
 @dataclass(frozen=True)
 class EncodedDataset:
-    """Encoded samples plus the layout and source constructs they came from."""
+    """Encoded samples plus the layout they were encoded with."""
 
     samples: tuple[EncodedSample, ...]
     layout: EncodingLayout
-    constructs: tuple[Construct, ...] = field(default=())
 
     def __post_init__(self):
         for s in self.samples:
             if len(s.bits) != self.layout.n_bits:
                 raise DataError("sample width does not match layout")
-        if self.constructs and len(self.constructs) != len(self.samples):
-            raise DataError("constructs/samples length mismatch")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -245,7 +242,7 @@ def decode_one_hot(bits, layout: EncodingLayout = EncodingLayout()
 def encode_dataset(constructs,
                    layout: EncodingLayout = EncodingLayout()) -> EncodedDataset:
     samples = tuple(encode_one_hot(c, layout) for c in constructs)
-    return EncodedDataset(samples, layout, tuple(constructs))
+    return EncodedDataset(samples, layout)
 
 
 def write_encoded_csv(path, dataset: EncodedDataset) -> None:

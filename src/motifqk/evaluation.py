@@ -357,18 +357,17 @@ def _require(section, key: str, where: str) -> str:
 
 
 def _parse_grid(section) -> GridConfig:
-    preset = section.get("preset", "full")
-    if preset == "full" and "kernels" not in section:
-        return GridConfig()
+    degree = section.getint("degree", 3)
+    coef0 = section.getfloat("coef0", 0.0)
+    if section.get("preset", "full") == "full" and "kernels" not in section:
+        return GridConfig(degree=degree, coef0=coef0)
     kernels = tuple(k.strip() for k in
                     _require(section, "kernels", "grid").split(","))
     c_values = tuple(float(v) for v in
                      _require(section, "c_values", "grid").split(","))
     gammas = tuple(parse_gamma(tok.strip()) for tok in
                    _require(section, "gamma_values", "grid").split(","))
-    return GridConfig(kernels, c_values, gammas,
-                      degree=section.getint("degree", 3),
-                      coef0=section.getfloat("coef0", 0.0))
+    return GridConfig(kernels, c_values, gammas, degree=degree, coef0=coef0)
 
 
 def config_from_ini(path) -> tuple[str, ExperimentConfig]:

@@ -19,6 +19,8 @@ observable is merged and truncated only after a gate that splits one of
 its own terms. Every sum, truncation decision and final expectation
 therefore sees the same numbers in the same order, and a stack gives
 bit-identical results to propagating each observable by itself.
+``obp_expectations`` reads every observable of a stack at once; a single
+observable is a stack of one.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class PauliString:
             out.append("IXZY"[x + 2 * z])
         return "".join(out)
 
-    @property
-    def weight(self) -> int:
-        return bin(self.x_mask | self.z_mask).count("1")
-
 
 class ObservableSum:
     """Real-coefficient sums of Pauli strings: one observable or a stack.
@@ -124,25 +122,13 @@ class ObservableSum:
         """Number of terms, summed over every observable of the stack."""
         return int(self.cs.size)
 
-    def _check_single(self) -> None:
+    def terms(self) -> dict[PauliString, float]:
+        """The terms of a one-observable sum, by Pauli string."""
         if self.n_obs != 1:
             raise ConfigError(
                 f"expected one observable, got a stack of {self.n_obs}")
-
-    def terms(self) -> dict[PauliString, float]:
-        self._check_single()
         return {PauliString(int(x), int(z)): float(c)
                 for x, z, c in zip(self.xs, self.zs, self.cs)}
-
-    def coefficient(self, pauli: PauliString) -> float:
-        self._check_single()
-        hit = (self.xs == np.uint64(pauli.x_mask)) \
-            & (self.zs == np.uint64(pauli.z_mask))
-        return float(self.cs[hit].sum())
-
-    def sum_sq(self) -> float:
-        """Sum of squared coefficients (invariant under exact conjugation)."""
-        return float(np.dot(self.cs, self.cs))
 
 
 def _merged(xs, zs, cs, ids, touched, threshold: float):
@@ -263,9 +249,3 @@ def obp_expectations(obs: ObservableSum) -> np.ndarray:
     return np.array([obs.cs[s:e][obs.xs[s:e] == np.uint64(0)].sum()
                      for s, e in zip(bounds[:-1], bounds[1:])],
                     dtype=np.float64)
-
-
-def obp_expectation(obs: ObservableSum) -> float:
-    """<0...0| obs |0...0> of a one-observable sum."""
-    obs._check_single()
-    return float(obp_expectations(obs)[0])

@@ -1,8 +1,10 @@
 """Dense statevector simulation and exact single-qubit readout.
 
 Qubit q maps to axis q of the state reshaped to [2]*n, so qubit 0 is the
-most significant index. The simulator is the ground-truth backend for
-cross-checking the operator-backpropagation engine and for shot sampling.
+most significant index. The simulator is the ground truth the
+operator-backpropagation engine is checked against. The shots backend
+samples from its exact values: ``binomial_estimate`` turns each one into a
+seeded finite-shot estimate.
 
 ``bloch_vectors`` reads every qubit's (X, Y, Z) exactly without holding
 the whole register: after ``circuits.simplify`` the qubits split into
@@ -47,13 +49,12 @@ def _apply_cx(psi: np.ndarray, n: int, c: int, t: int) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (c, t)).reshape(-1)
 
 
-def simulate(circuit: Circuit,
-             qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def simulate(circuit: Circuit) -> np.ndarray:
     """Run the circuit on |0...0> and return the final amplitudes."""
     n = circuit.n_qubits
-    if n > qubit_cap:
+    if n > DEFAULT_QUBIT_CAP:
         raise BackendError(
-            f"statevector backend capped at {qubit_cap} qubits "
+            f"statevector backend capped at {DEFAULT_QUBIT_CAP} qubits "
             f"(circuit has {n}); use the obp backend")
     psi = np.zeros(2 ** n, dtype=np.complex128)
     psi[0] = 1.0
@@ -155,12 +156,3 @@ def binomial_estimate(value: float, shots: int, seed: int) -> float:
     p_up = min(max((1.0 + value) / 2.0, 0.0), 1.0)
     ups = int(np.random.default_rng(seed).binomial(shots, p_up))
     return (2 * ups - shots) / shots
-
-
-def sample_expectation(state: np.ndarray, qubit: int, basis: str,
-                       shots: int, seed: int) -> float:
-    """Finite-shot estimate of a Pauli expectation via binomial sampling."""
-    if not (isinstance(shots, int) and shots >= 1):
-        raise ConfigError("shots must be an integer >= 1")
-    return binomial_estimate(pauli_expectation(state, qubit, basis), shots,
-                             seed)

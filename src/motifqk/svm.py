@@ -147,9 +147,10 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     """Solve the soft-margin dual for one kernel/C setting.
 
     ``max_passes`` bounds the work at max_passes * N pair updates; hitting
-    it raises a convergence warning rather than an error. A result that
-    breaks the equality constraint, or a converged one that breaks the KKT
-    conditions, raises ``SolverError``.
+    it, or a pair step that cannot move (a stall), raises one convergence
+    warning rather than an error. A result that breaks the equality
+    constraint, or a converged one that breaks the KKT conditions, raises
+    ``SolverError``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -177,7 +178,7 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     neg_yf = -yf
     grad = -np.ones(N)
     score, buf, step_i, step_j = (np.empty(N) for _ in range(4))
-    reached_tol = False
+    reached_tol = stalled = False
     for _ in range(max_passes * N):
         i, m, j, M = _violating_pair(np.multiply(neg_yf, grad, out=score),
                                      up, down, buf)
@@ -200,6 +201,7 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
         if abs(aj - aj_old) < 1e-15:
             warnings.warn("SMO stalled before reaching tolerance",
                           RuntimeWarning)
+            stalled = True
             break
         ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
@@ -212,7 +214,7 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     alpha = np.array(alpha)
     score = neg_yf * grad
     converged = reached_tol
-    if not reached_tol:
+    if not (reached_tol or stalled):  # ran all max_passes * N updates
         _, m, _, M = _violating_pair(score, up, down, buf)
         converged = m - M <= tol
         if not converged:
@@ -316,10 +318,8 @@ class GridConfig:
 class GridSearchResult:
     candidates: list
     means: np.ndarray
-    stds: np.ndarray
     best_index: int
     folds: int
-    cv_seed: int
     degree: int = 3
     coef0: float = 0.0
     nonconverged_fits: int = 0  # fits run (after dedup) that warned
@@ -385,7 +385,6 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
     assign, folds_eff = stratified_folds(y, folds, seed)
     cands = grid.candidates()
     means = np.empty(len(cands))
-    stds = np.empty(len(cands))
     cache: dict = {}
     nonconverged = 0
     for idx, (kind, C, g) in enumerate(cands):
@@ -399,9 +398,8 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
                                   max_passes=max_passes)
                 nonconverged += not model.converged
                 scores.append(weighted_f1(y[te], predict(model, X[te])))
-            scores = np.array(scores)
-            cache[key] = (float(scores.mean()), float(scores.std()))
-        means[idx], stds[idx] = cache[key]
+            cache[key] = float(np.array(scores).mean())
+        means[idx] = cache[key]
     best = int(np.argmax(means))  # the first maximum: ties keep the earliest
-    return GridSearchResult(cands, means, stds, best, folds_eff, seed,
-                            grid.degree, grid.coef0, nonconverged)
+    return GridSearchResult(cands, means, best, folds_eff, grid.degree,
+                            grid.coef0, nonconverged)

@@ -37,7 +37,7 @@ from motifqk.kernels import (
     model_complexity,
     resolve_gamma,
 )
-from motifqk.pauliprop import ObservableSum, PauliString, backpropagate_observable, obp_expectation
+from motifqk.pauliprop import ObservableSum, PauliString, backpropagate_observable, obp_expectations
 from motifqk.statevector import pauli_expectation, simulate
 from motifqk.svm import C_VALUES, GAMMA_VALUES, GridConfig, smo_train, \
     weighted_f1
@@ -101,7 +101,7 @@ def test_criterion_02_obp_matches_statevector():
             for basis in ("X", "Y", "Z"):
                 obs = ObservableSum({PauliString.single(q, basis): 1.0})
                 back = backpropagate_observable(circuit, obs, 0.0)
-                diff = abs(obp_expectation(back)
+                diff = abs(obp_expectations(back)[0]
                            - pauli_expectation(state, q, basis))
                 worst = max(worst, diff)
                 checked += 1

@@ -175,6 +175,13 @@ def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch):
     assert rc == 0
     assert len(seen["grid"].c_values) == 87
     assert len(seen["grid"].gamma_values) == 77
+    assert (seen["grid"].degree, seen["grid"].coef0) == (3, 0.0)
+    # --degree and --coef0 reach the full grid's poly and sigmoid kernels
+    rc = main(["train", "--features", str(feature_csv), "--output",
+               str(model), "--grid", "--folds", "2", "--degree", "2",
+               "--coef0", "1.5"])
+    assert rc == 0
+    assert seen["grid"] == GridConfig(degree=2, coef0=1.5)
 
 
 def test_evaluate_needs_labels(tmp_path, feature_csv):

@@ -273,6 +273,14 @@ def test_config_from_ini_round_trip(tmp_path):
     assert len(config.grid.c_values) == 87
 
 
+def test_config_from_ini_full_preset_reads_degree_and_coef0(tmp_path):
+    path = _write_ini(tmp_path / "exp.ini", sections={
+        "grid": {"preset": "full", "degree": "5", "coef0": "2.5"}})
+    _, config = config_from_ini(path)
+    assert (config.grid.degree, config.grid.coef0) == (5, 2.5)
+    assert len(config.grid.c_values) == 87
+
+
 def test_config_from_ini_custom_grid(tmp_path):
     path = _write_ini(tmp_path / "exp.ini", sections={
         "grid": {"kernels": "linear,rbf", "c_values": "0.5,1.0",

@@ -20,7 +20,7 @@ from motifqk.features import (
     write_feature_csv,
 )
 from motifqk.pauliprop import ObservableSum, PauliString, \
-    backpropagate_observable, obp_expectation
+    backpropagate_observable, obp_expectations
 
 OBP0 = BackendConfig(kind="obp", threshold=0.0)
 EXACT = BackendConfig(kind="exact")
@@ -234,8 +234,8 @@ def test_truncated_triples_projected_onto_bloch_ball():
     for q in range(circuit.n_qubits):
         for k, b in enumerate("XYZ"):
             obs = ObservableSum({PauliString.single(q, b): 1.0})
-            raw[q, k] = obp_expectation(
-                backpropagate_observable(circuit, obs, 0.1))
+            raw[q, k] = obp_expectations(
+                backpropagate_observable(circuit, obs, 0.1))[0]
     raw_radii = np.sqrt((raw ** 2).sum(axis=1))
     assert raw_radii.max() > 1.0  # the clamp has something to do
 

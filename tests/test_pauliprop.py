@@ -19,7 +19,6 @@ from motifqk.pauliprop import (
     ObservableSum,
     PauliString,
     backpropagate_observable,
-    obp_expectation,
     obp_expectations,
 )
 from motifqk.statevector import pauli_expectation, simulate
@@ -41,9 +40,8 @@ def test_pauli_string_label_round_trip():
         assert p.label(len(label)) == label
 
 
-def test_pauli_string_single_and_weight():
+def test_pauli_string_single_and_label_validation():
     assert PauliString.single(2, "Y") == PauliString.from_label("IIY")
-    assert PauliString.from_label("XIZY").weight == 3
     with pytest.raises(ConfigError):
         PauliString.single(0, "Q")
     with pytest.raises(ConfigError):
@@ -53,9 +51,7 @@ def test_pauli_string_single_and_weight():
 def test_observable_sum_drops_zeros():
     obs = ObservableSum({PauliString.from_label("X"): 0.0,
                          PauliString.from_label("Z"): 2.0})
-    assert len(obs.terms()) == 1
-    assert obs.coefficient(PauliString.from_label("Z")) == 2.0
-    assert obs.coefficient(PauliString.from_label("X")) == 0.0
+    assert obs.terms() == {PauliString.from_label("Z"): 2.0}
 
 
 def test_hadamard_conjugation():
@@ -168,7 +164,8 @@ def test_conjugation_preserves_hilbert_schmidt_norm(n, seed):
         terms[PauliString.single(q, basis)] = float(rng.normal())
     obs = ObservableSum(terms)
     out = backpropagate_observable(circuit, obs, 0.0)
-    assert out.sum_sq() == pytest.approx(obs.sum_sq(), rel=1e-12)
+    assert np.dot(out.cs, out.cs) == pytest.approx(np.dot(obs.cs, obs.cs),
+                                                   rel=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
@@ -181,7 +178,7 @@ def test_matches_statevector_on_small_circuits(n, seed):
         for basis in ("X", "Y", "Z"):
             obs = ObservableSum({PauliString.single(q, basis): 1.0})
             back = backpropagate_observable(circuit, obs, 0.0)
-            assert obp_expectation(back) == pytest.approx(
+            assert obp_expectations(back)[0] == pytest.approx(
                 pauli_expectation(state, q, basis), abs=1e-11)
 
 
@@ -189,7 +186,7 @@ def test_obp_expectation_zero_state():
     obs = ObservableSum({PauliString.from_label("ZZ"): 0.5,
                          PauliString.from_label("XI"): 2.0,
                          PauliString.from_label("ZI"): 0.25})
-    assert obp_expectation(obs) == pytest.approx(0.75)
+    assert obp_expectations(obs)[0] == pytest.approx(0.75)
 
 
 def test_full_width_zz_map_z_expectations():
@@ -203,7 +200,8 @@ def test_full_width_zz_map_z_expectations():
     for q in list(hot) + [0, 59]:
         obs = ObservableSum({PauliString.single(int(q), "Z"): 1.0})
         back = backpropagate_observable(circuit, obs, 0.0)
-        assert obp_expectation(back) == pytest.approx(1.0 - 2.0 * x[q], abs=1e-12)
+        assert obp_expectations(back)[0] == pytest.approx(1.0 - 2.0 * x[q],
+                                                          abs=1e-12)
 
 
 def test_backpropagate_validation():
@@ -267,7 +265,7 @@ def test_stack_matches_each_observable_alone(kind, n, seed):
             assert out.xs[mine].tobytes() == alone.xs.tobytes()
             assert out.zs[mine].tobytes() == alone.zs.tobytes()
             assert out.cs[mine].tobytes() == alone.cs.tobytes()
-            assert values[k] == obp_expectation(alone)
+            assert values[k] == obp_expectations(alone)[0]
             total += len(alone)
         assert len(out) == total
 
@@ -280,8 +278,5 @@ def test_stack_of_stacks_and_single_observable_readers():
     assert nested.n_obs == 3
     assert nested.ids.tolist() == [0, 2, 2]
     assert obp_expectations(nested).tolist() == [1.0, 0.0, -2.0]
-    for read in (obp_expectation, ObservableSum.terms):
-        with pytest.raises(ConfigError):
-            read(nested)
     with pytest.raises(ConfigError):
-        nested.coefficient(PauliString.from_label("ZI"))
+        nested.terms()

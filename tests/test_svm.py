@@ -88,6 +88,17 @@ def test_smo_warns_when_not_converged():
         smo_train(X, y, KernelSpec(kind="rbf", gamma=1.0), C=1.0, max_passes=0)
 
 
+def test_smo_stall_warns_once():
+    # linear Gram entries near 1e16 shrink the first step below 1e-15
+    X, y = _bit_identity_problem(6, 2, True, 1e8, 2, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = smo_train(X, y, KernelSpec("linear"), 2000.0)
+    assert [str(w.message) for w in caught] \
+        == ["SMO stalled before reaching tolerance"]
+    assert not model.converged
+
+
 def test_model_save_load_round_trip(tmp_path, rng):
     X = rng.normal(size=(10, 3))
     y = np.where(X[:, 0] > 0, 1, -1)
@@ -287,21 +298,31 @@ def _random_problem(rng, kernel):
 
 
 def _assert_dual_matches_qp_oracle(X, y, spec, C):
+    """Check the SMO dual against the QP oracle; False, checking nothing,
+    when the Gram matrix is indefinite."""
     K = kernel_matrix(X, spec, gamma=resolve_gamma(spec, X))
     if np.linalg.eigvalsh(K).min() < -1e-8:
-        return  # indefinite sigmoid Gram: dual max not well-defined
+        return False  # indefinite sigmoid Gram: dual max not well-defined
     model = smo_train(X, y, spec, C, tol=1e-5)
     mine = _model_dual(model, X, y, spec, C)
     best = dual_objective(K, y, qp_oracle(K, y, C))
     assert abs(mine - best) <= 1e-4 * max(abs(best), 1.0)
+    return True
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf", "poly", "sigmoid"])
 def test_smo_dual_matches_qp_oracle(kernel):
-    # crc32, not hash(): str hashes are salted per process
+    # crc32, not hash(): str hashes are salted per process. Only about 1 in
+    # 30 sigmoid draws has a PSD Gram, so draw until 4 have been checked;
+    # every linear, rbf and poly draw is PSD and checked.
     rng = np.random.default_rng(zlib.crc32(kernel.encode()))
-    for _ in range(4):
-        _assert_dual_matches_qp_oracle(*_random_problem(rng, kernel))
+    checked = 0
+    for _ in range(400):
+        problem = _random_problem(rng, kernel)
+        checked += _assert_dual_matches_qp_oracle(*problem)
+        if checked == 4:
+            break
+    assert checked == 4
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -332,6 +353,16 @@ def _bit_identity_problem(n, d, binary, scale, n_dup, seed):
     for k in range(min(n_dup, n // 2)):
         X[n - 1 - k], y[n - 1 - k] = X[k], -y[k]
     return X, y
+
+
+def _one_warning_per_stall(record):
+    """A reference fit's record without the max_passes warning that the
+    reference emits right after a stall warning; the solver warns once."""
+    out, caught = record
+    kept = [w for k, w in enumerate(caught)
+            if not (k and caught[k - 1][1].startswith("SMO stalled")
+                    and w[1].startswith("SMO hit max_passes"))]
+    return out, kept
 
 
 def _fit_record(train, X, y, spec, C, max_passes):
@@ -372,7 +403,8 @@ def test_smo_matches_reference_bit_for_bit(n, d, kernel, C, max_passes,
     X, y = _bit_identity_problem(n, d, binary, scale, n_dup, seed)
     spec = BIT_IDENTITY_SPECS[kernel]
     assert (_fit_record(smo_train, X, y, spec, C, max_passes)
-            == _fit_record(reference_smo_train, X, y, spec, C, max_passes))
+            == _one_warning_per_stall(_fit_record(reference_smo_train, X, y,
+                                                  spec, C, max_passes)))
 
 
 def test_smo_matches_reference_on_one_hot_rows_at_max_passes():
