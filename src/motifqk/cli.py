@@ -21,8 +21,8 @@ from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
 from .kernels import KernelSpec, check_lam, parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
-from .evaluation import (config_from_ini, per_motif_analysis, run_experiment,
-                         screen_advantage)
+from .evaluation import (check_alpha, config_from_ini, per_motif_analysis,
+                         run_experiment, screen_advantage)
 
 logger = logging.getLogger(__name__)
 
@@ -185,6 +185,7 @@ def _write_report_tables(report, outdir: Path, alpha: float) -> None:
 
 
 def cmd_report(args) -> int:
+    check_alpha(args.alpha)  # before the experiment, which is the slow part
     dataset_path, config = config_from_ini(args.config)
     constructs = dataio.load_constructs(dataset_path)
     dataset = dataio.encode_dataset(constructs)

@@ -196,10 +196,15 @@ def fisher_from_counts(counts: dict) -> dict:
     return out
 
 
-def per_motif_analysis(report: EvalReport, alpha: float = 0.01) -> list[dict]:
-    """Flat significance table from a report, sorted for stable output."""
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside (0, 1)."""
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha must be in (0, 1)")
+
+
+def per_motif_analysis(report: EvalReport, alpha: float = 0.01) -> list[dict]:
+    """Flat significance table from a report, sorted for stable output."""
+    check_alpha(alpha)
     rows = []
     for axis in sorted(report.fisher):
         for pos in sorted(report.fisher[axis], key=int):
@@ -359,7 +364,16 @@ def _require(section, key: str, where: str) -> str:
 def _parse_grid(section) -> GridConfig:
     degree = section.getint("degree", 3)
     coef0 = section.getfloat("coef0", 0.0)
-    if section.get("preset", "full") == "full" and "kernels" not in section:
+    axes = [f"grid.{key}" for key in ("kernels", "c_values", "gamma_values")
+            if key in section]
+    if "preset" in section:
+        if section["preset"] != "full":
+            raise ConfigError(
+                f"grid.preset must be 'full', got {section['preset']!r}")
+        if axes:
+            raise ConfigError(
+                f"grid.preset cannot be combined with {', '.join(axes)}")
+    if not axes:
         return GridConfig(degree=degree, coef0=coef0)
     kernels = tuple(k.strip() for k in
                     _require(section, "kernels", "grid").split(","))

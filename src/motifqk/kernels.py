@@ -3,7 +3,8 @@
 The geometric difference g(Kc, Kq) and model complexity s_K quantify, from
 Gram matrices alone, whether a quantum-projected kernel can separate itself
 from a classical one on the same data; their eigendecompositions use numpy's
-``eigh``, and the cyclic Jacobi solver is kept only as a reference.
+``eigh``. The cyclic Jacobi solver has no production caller; it stays because
+the benchmark's ``kernels.jacobi_eigh`` span wraps it by name.
 """
 
 from __future__ import annotations

@@ -225,7 +225,7 @@ def test_screen_rejects_bad_flag_before_projecting(tmp_path, encoded_csv,
     assert calls == []
 
 
-def test_report_full_run(tmp_path, raw_csv):
+def _report_ini(tmp_path, raw_csv):
     cp = configparser.ConfigParser()
     cp["dataset"] = {"path": str(raw_csv)}
     cp["embedding"] = {"kind": "e1", "reps": "6", "scale": "pi2"}
@@ -237,6 +237,11 @@ def test_report_full_run(tmp_path, raw_csv):
     ini = tmp_path / "exp.ini"
     with open(ini, "w") as fh:
         cp.write(fh)
+    return ini
+
+
+def test_report_full_run(tmp_path, raw_csv):
+    ini = _report_ini(tmp_path, raw_csv)
     outdir = tmp_path / "out"
     rc = main(["report", "--config", str(ini), "--output-dir", str(outdir)])
     assert rc == 0
@@ -247,6 +252,20 @@ def test_report_full_run(tmp_path, raw_csv):
     f1_lines = (outdir / "f1.csv").read_text().strip().splitlines()
     assert f1_lines[0] == "split,original_f1,pqk_f1"
     assert len(f1_lines) == 4
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_report_rejects_bad_alpha_before_running(tmp_path, raw_csv,
+                                                 monkeypatch, alpha):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_experiment called with a bad --alpha")
+
+    monkeypatch.setattr("motifqk.cli.run_experiment", fail)
+    outdir = tmp_path / "out"
+    rc = main(["report", "--config", str(_report_ini(tmp_path, raw_csv)),
+               "--output-dir", str(outdir), "--alpha", alpha])
+    assert rc == 2
+    assert not outdir.exists()
 
 
 def test_report_missing_config(tmp_path):

@@ -19,13 +19,15 @@ from motifqk.data import (
     binarize_cytotoxicity,
     correlation_order,
     decode_one_hot,
+    encode_dataset,
     encode_one_hot,
     load_constructs,
     load_encoded_csv,
-    matthews_corr,
     write_encoded_csv,
 )
 from motifqk.errors import DataError
+
+import _correlation_reference as reference
 
 
 def test_catalog_has_thirteen_motifs():
@@ -187,39 +189,12 @@ def test_dataset_matrix_shape(small_dataset):
     assert small_dataset.bits.sum(axis=1).tolist() == [4] * 10
 
 
-def test_matthews_known_values():
-    assert matthews_corr([1, 1, 0, 0], [1, 1, 0, 0]) == 1.0
-    assert matthews_corr([1, 1, 0, 0], [0, 0, 1, 1]) == -1.0
-    assert matthews_corr([1, 1, 0, 0], [1, 0, 1, 0]) == 0.0
-    assert matthews_corr([1, 1, 0, 0], [1, 1, 1, 1]) == 0.0
-
-
-def test_matthews_validation():
-    with pytest.raises(DataError):
-        matthews_corr([1, 0], [1])
-    with pytest.raises(DataError):
-        matthews_corr([], [])
-    with pytest.raises(DataError):
-        matthews_corr([1, 2], [1, 0])
-
-
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_matthews_symmetric_and_bounded(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 2, n)
-    b = rng.integers(0, 2, n)
-    m = matthews_corr(a, b)
-    assert matthews_corr(b, a) == m
-    assert -1.0 - 1e-12 <= m <= 1.0 + 1e-12
-
-
 def _order_three_columns(X):
     """Independent 3-leaf oracle: merge closest pair, leftover leads."""
     d = {}
     for i in range(3):
         for j in range(i + 1, 3):
-            d[(i, j)] = 1.0 - matthews_corr(X[:, i], X[:, j])
+            d[(i, j)] = 1.0 - reference.matthews_corr(X[:, i], X[:, j])
     i, j = min(d, key=lambda p: (d[p], p))
     k = ({0, 1, 2} - {i, j}).pop()
     return [k, i, j]
@@ -254,8 +229,48 @@ def test_correlation_order_deterministic(rng):
     assert correlation_order(X) == correlation_order(X.copy())
 
 
+@given(st.integers(min_value=1, max_value=30),
+       st.integers(min_value=2, max_value=12),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_correlation_order_matches_reference(n, d, seed, constant, duplicate):
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, d)) < rng.random()).astype(np.uint8)
+    if constant:
+        X[:, rng.integers(d)] = rng.integers(2)
+    if duplicate:
+        X[:, rng.integers(d)] = X[:, rng.integers(d)]
+    assert correlation_order(X) == reference.correlation_order(X)
+
+
+def test_correlation_order_one_hot_constructs():
+    # 246 distinct constructs, the size of the screen, on the 60-bit layout
+    rng = np.random.default_rng(246)
+    motifs = sorted(MOTIF_CATALOG)
+    chosen = []
+    while len(chosen) < 246:
+        m = tuple(rng.choice(motifs, int(rng.integers(1, 4))).tolist())
+        if m not in chosen:
+            chosen.append(m)
+    bits = encode_dataset([Construct(m, 0.5) for m in chosen]).bits
+    order = correlation_order(bits)
+    assert order == reference.correlation_order(bits)
+    assert order == [
+        21, 29, 0, 39, 47, 48, 11, 15, 42, 7, 23, 37, 8, 18, 41, 22, 33, 45,
+        46, 12, 30, 51, 52, 1, 25, 5, 17, 36, 10, 24, 27, 38, 49, 50, 6, 19,
+        35, 58, 13, 14, 2, 43, 59, 55, 56, 16, 4, 40, 3, 20, 31, 26, 34, 53,
+        54, 9, 32, 57, 28, 44]
+
+
 def test_correlation_order_validation():
     with pytest.raises(DataError):
         correlation_order(np.zeros((4, 1), dtype=np.uint8))
     with pytest.raises(DataError):
         correlation_order(np.zeros(4, dtype=np.uint8))
+    with pytest.raises(DataError):
+        correlation_order(np.zeros((0, 3), dtype=np.uint8))
+    with pytest.raises(DataError):
+        correlation_order(np.array([[1, 0], [2, 1]]))
+    X = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=bool)
+    assert correlation_order(X) == reference.correlation_order(X)

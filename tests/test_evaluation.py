@@ -332,9 +332,10 @@ def test_config_from_ini_missing_section(tmp_path):
 
 def test_config_from_ini_bad_scale(tmp_path):
     # malformed numbers, out-of-range grid axes, INI syntax errors, a
-    # [screening] section (which report does not read) and unknown keys or
-    # sections are config errors, not a traceback or a silently ignored
-    # setting
+    # [screening] section (which report does not read), a [grid] preset
+    # other than full or next to explicit axes, a partial axis list, and
+    # unknown keys or sections are config errors, not a traceback or a
+    # silently ignored setting
     bad_inputs = [
         {"embedding": {"kind": "e1", "reps": "6", "scale": "tau"}},
         {"embedding": {"kind": "e1", "reps": "six", "scale": "pi2"}},
@@ -344,6 +345,12 @@ def test_config_from_ini_bad_scale(tmp_path):
                   "gamma_values": "-1"}},
         {"grid": {"kernels": "laplace", "c_values": "1.0",
                   "gamma_values": "scale"}},
+        {"grid": {"preset": "quick"}},
+        {"grid": {"preset": "quick", "kernels": "rbf", "c_values": "1.0",
+                  "gamma_values": "scale"}},
+        {"grid": {"preset": "full", "kernels": "rbf", "c_values": "1.0",
+                  "gamma_values": "scale"}},
+        {"grid": {"c_values": "1.0"}},
         {"protocol": {"n_splits": "ten", "split_seed": "0", "cv_seed": "0"}},
         {"screening": {"lam": "1.0"}},
         {"embedding": {"kind": "e1", "reps": "6", "scale": "pi2",
