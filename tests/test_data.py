@@ -189,6 +189,22 @@ def test_dataset_matrix_shape(small_dataset):
     assert small_dataset.bits.sum(axis=1).tolist() == [4] * 10
 
 
+def test_matthews_validation():
+    # the oracle's per-pair MCC keeps its own checks
+    with pytest.raises(DataError):
+        reference.matthews_corr([1, 0], [1])
+    with pytest.raises(DataError):
+        reference.matthews_corr([], [])
+    with pytest.raises(DataError):
+        reference.matthews_corr([1, 2], [1, 0])
+    # the empty and non-binary columns it rejected stop at correlation_order
+    for X in (np.zeros((0, 2), dtype=np.uint8), np.array([[1, 1], [2, 0]])):
+        with pytest.raises(DataError):
+            reference.correlation_order(X)
+        with pytest.raises(DataError):
+            correlation_order(X)
+
+
 def _order_three_columns(X):
     """Independent 3-leaf oracle: merge closest pair, leftover leads."""
     d = {}
