@@ -18,30 +18,21 @@ from .errors import BackendError, ConfigError, DataError, SolverError
 from . import data as dataio
 from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
                        parse_scale, project_features, write_feature_csv)
-from .kernels import KernelSpec, check_lam, parse_gamma
+from .kernels import KERNEL_KINDS, KernelSpec, check_lam, parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
-from .evaluation import (check_alpha, config_from_ini, per_motif_analysis,
-                         run_experiment, screen_advantage)
+from .evaluation import (FEATURE_ORDERS, check_alpha, config_from_ini,
+                         per_motif_analysis, run_experiment, screen_advantage)
 
 logger = logging.getLogger(__name__)
 
 
+# --seed is required on every embedding command line, whatever the kinds;
+# it reaches only the configs that read it: e2 (its RY layer) and shots
 def _embedding_from_args(args) -> EmbeddingConfig:
-    if args.embedding == "e1":
-        if args.reps is None:
-            raise ConfigError("--embedding e1 needs --reps")
-        if args.steps is not None:
-            raise ConfigError("--steps applies to --embedding e2, not e1")
-        return EmbeddingConfig("e1", reps=args.reps,
-                               scale=parse_scale(args.scale),
-                               test_mode=args.test_mode)
-    if args.steps is None:
-        raise ConfigError("--embedding e2 needs --steps")
-    if args.reps is not None:
-        raise ConfigError("--reps applies to --embedding e1, not e2")
-    return EmbeddingConfig("e2", steps=args.steps,
-                           scale=parse_scale(args.scale), seed=args.seed,
+    return EmbeddingConfig(args.embedding, reps=args.reps, steps=args.steps,
+                           scale=parse_scale(args.scale),
+                           seed=args.seed if args.embedding == "e2" else None,
                            test_mode=args.test_mode)
 
 
@@ -55,7 +46,7 @@ def _add_embedding_flags(sub) -> None:
                      help="rotation scale: pi or pi2")
     sub.add_argument("--backend", required=True,
                      help="exact, shots:<n>, or obp:<threshold>")
-    sub.add_argument("--order", choices=("natural", "correlation"),
+    sub.add_argument("--order", choices=FEATURE_ORDERS,
                      default="natural",
                      help="feed bit columns as-is or in clustered order")
     sub.add_argument("--seed", type=int, required=True,
@@ -72,7 +63,9 @@ def _features_from_args(args):
     if args.order == "correlation":
         X = X[:, dataio.correlation_order(X)]
     embedding = _embedding_from_args(args)
-    backend = BackendConfig.parse(args.backend, seed=args.seed)
+    backend = BackendConfig.parse(
+        args.backend,
+        seed=args.seed if args.backend.startswith("shots:") else None)
     F = project_features(X, embedding, backend, cache_dir=args.cache,
                          n_jobs=args.jobs)
     return X, F, y
@@ -224,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="geometry screening of quantum advantage")
     scr.add_argument("--input", required=True, help="encoded CSV")
     scr.add_argument("--output", default=None, help="JSON output path")
-    scr.add_argument("--kernel", default="rbf",
-                     choices=("linear", "poly", "rbf", "sigmoid"))
+    scr.add_argument("--kernel", default="rbf", choices=KERNEL_KINDS)
     scr.add_argument("--gamma", default="scale")
     scr.add_argument("--lam", type=float, default=1.0)
     _add_embedding_flags(scr)
@@ -236,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--output", required=True, help="model JSON path")
     tr.add_argument("--grid", action="store_true",
                     help="run the full hyperparameter sweep")
-    tr.add_argument("--kernel", default="rbf",
-                    choices=("linear", "poly", "rbf", "sigmoid"))
+    tr.add_argument("--kernel", default="rbf", choices=KERNEL_KINDS)
     tr.add_argument("--c", type=float, default=None)
     tr.add_argument("--gamma", default="scale")
     tr.add_argument("--degree", type=int, default=3)
@@ -280,7 +271,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

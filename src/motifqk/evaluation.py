@@ -29,6 +29,7 @@ from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
 from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
 
 METHODS = ("original", "pqk")
+FEATURE_ORDERS = ("natural", "correlation")
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_n_jobs(self.n_jobs)
-        if self.feature_order not in ("natural", "correlation"):
+        if self.feature_order not in FEATURE_ORDERS:
             raise ConfigError(
-                f"feature_order must be natural or correlation, "
+                f"feature_order must be one of {FEATURE_ORDERS}, "
                 f"got {self.feature_order!r}")
 
     def provenance(self) -> dict:
@@ -388,10 +389,10 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     """Parse the flat sectioned config format used by the report command.
 
     Seeds are mandatory wherever randomness is consumed: split_seed and
-    cv_seed always, the embedding seed for e2, the backend seed for shots.
-    Unknown sections and keys are rejected, so a misspelt key cannot fall
-    back to its default unnoticed; so are keys the chosen embedding or
-    backend kind does not read (``steps`` on e1, ``seed`` on obp).
+    cv_seed always; EmbeddingConfig and BackendConfig require the e2 and
+    shots seeds and reject keys their kind does not read. Unknown
+    sections and keys are rejected, so a misspelt key cannot fall back to
+    its default unnoticed.
     """
     cp = configparser.ConfigParser()
     if not Path(path).exists():
@@ -420,39 +421,19 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _reject_unread(section, keys, where: str, reader: str) -> None:
-    unread = [f"{where}.{key}" for key in keys if key in section]
-    if unread:
-        raise ConfigError(f"{', '.join(unread)} is not read by {reader}")
-
-
 def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
     dataset_path = _require(cp["dataset"], "path", "dataset")
-    emb_sec = cp["embedding"]
-    kind = _require(emb_sec, "kind", "embedding")
-    test_mode = emb_sec.getboolean("test_mode", False)
-    scale = parse_scale(emb_sec.get("scale", "pi2"))
-    if kind == "e1":
-        _reject_unread(emb_sec, ("steps", "seed"), "embedding", "kind e1")
-        embedding = EmbeddingConfig(
-            "e1", reps=int(_require(emb_sec, "reps", "embedding")),
-            scale=scale, test_mode=test_mode)
-    elif kind == "e2":
-        _reject_unread(emb_sec, ("reps",), "embedding", "kind e2")
-        embedding = EmbeddingConfig(
-            "e2", steps=int(_require(emb_sec, "steps", "embedding")),
-            scale=scale, seed=int(_require(emb_sec, "seed", "embedding")),
-            test_mode=test_mode)
-    else:
-        raise ConfigError(f"embedding kind must be e1 or e2, got {kind!r}")
-    backend_text = _require(cp["backend"], "backend", "backend")
-    if backend_text.startswith("shots"):
-        backend = BackendConfig.parse(
-            backend_text, seed=int(_require(cp["backend"], "seed", "backend")))
-    else:
-        backend = BackendConfig.parse(backend_text)
-        _reject_unread(cp["backend"], ("seed",), "backend",
-                       f"the {backend.kind} backend")
+    emb_sec, back_sec = cp["embedding"], cp["backend"]
+    # the config types decide which keys each kind reads and needs
+    embedding = EmbeddingConfig(
+        _require(emb_sec, "kind", "embedding"),
+        **{key: int(emb_sec[key]) for key in ("reps", "steps", "seed")
+           if key in emb_sec},
+        scale=parse_scale(emb_sec.get("scale", "pi2")),
+        test_mode=emb_sec.getboolean("test_mode", False))
+    backend = BackendConfig.parse(
+        _require(back_sec, "backend", "backend"),
+        seed=int(back_sec["seed"]) if "seed" in back_sec else None)
     proto = cp["protocol"]
     config = ExperimentConfig(
         embedding=embedding,

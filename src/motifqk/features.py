@@ -62,6 +62,8 @@ def parse_scale(text: str) -> float:
 class EmbeddingConfig:
     """Which embedding to build and with what parameters.
 
+    ``reps``, ``steps`` and ``seed`` are None when not given. E1 needs
+    ``reps``, E2 ``steps`` and ``seed`` (its RY layer); neither takes more.
     Both kinds couple the qubits of a linear chain. Production settings are
     enforced unless ``test_mode`` is set: E1 repetitions in {4, 6, 8, 12},
     E2 Trotter steps in {4, 6}, scale pi or pi/2. ``test_mode`` additionally
@@ -73,15 +75,22 @@ class EmbeddingConfig:
     """
 
     kind: str
-    reps: int = 0
-    steps: int = 0
+    reps: int | None = None
+    steps: int | None = None
     scale: float = math.pi / 2
-    seed: int = 0
+    seed: int | None = None
     test_mode: bool = False
 
     def __post_init__(self):
         if self.kind not in ("e1", "e2"):
             raise ConfigError(f"embedding kind must be e1 or e2, got {self.kind!r}")
+        reads = ("reps",) if self.kind == "e1" else ("steps", "seed")
+        for name in ("reps", "steps", "seed"):
+            if getattr(self, name) is None and name in reads:
+                raise ConfigError(f"embedding kind {self.kind} needs {name}")
+            if getattr(self, name) is not None and name not in reads:
+                raise ConfigError(
+                    f"embedding kind {self.kind} does not read {name}")
         if self.kind == "e1":
             if self.reps < 0 or (self.reps == 0 and not self.test_mode):
                 raise ConfigError("e1 needs reps >= 1")
@@ -117,21 +126,23 @@ class EmbeddingConfig:
 class BackendConfig:
     """Readout backend: ``exact``, ``shots:<n>``, or ``obp:<threshold>``.
 
-    ``shots`` and ``seed`` belong to the shots kind alone. ``descriptor()``
-    keys the feature cache and the report's config hash; keep its text.
+    ``shots`` and ``seed`` belong to the shots kind alone, which needs both;
+    ``seed`` is None when not given, and exact and obp reject any seed, 0
+    included. ``descriptor()`` keys the feature cache and the report's
+    config hash; keep its text.
     """
 
     kind: str
     shots: int = 0
-    seed: int = 0
+    seed: int | None = None
     threshold: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("exact", "shots", "obp"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "shots" and self.shots < 1:
-            raise ConfigError("shots backend needs shots >= 1")
-        if self.kind != "shots" and (self.shots or self.seed):
+        if self.kind == "shots" and (self.shots < 1 or self.seed is None):
+            raise ConfigError("shots backend needs shots >= 1 and a seed")
+        if self.kind != "shots" and (self.shots or self.seed is not None):
             raise ConfigError(
                 f"shots and seed apply to the shots backend, not {self.kind}")
         if self.kind == "obp" and not (math.isfinite(self.threshold)
@@ -139,15 +150,15 @@ class BackendConfig:
             raise ConfigError("obp threshold must be finite and >= 0")
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "BackendConfig":
+    def parse(cls, text: str, seed: int | None = None) -> "BackendConfig":
         parts = text.split(":")
         try:
             if parts[0] == "exact" and len(parts) == 1:
-                return cls("exact")
+                return cls("exact", seed=seed)
             if parts[0] == "shots" and len(parts) == 2:
                 return cls("shots", shots=int(parts[1]), seed=seed)
             if parts[0] == "obp" and len(parts) == 2:
-                return cls("obp", threshold=float(parts[1]))
+                return cls("obp", threshold=float(parts[1]), seed=seed)
         except ValueError:
             pass
         raise ConfigError(
@@ -260,8 +271,11 @@ def project_features(bits, embedding: EmbeddingConfig,
             path = _cache_path(Path(cache_dir), bits_key, embedding, backend)
             paths[i] = path
             if path.exists():
-                cached = np.load(path)
-                if cached.shape != (width,):
+                try:
+                    cached = np.load(path, allow_pickle=False)
+                except (ValueError, EOFError):  # not an .npy, or truncated
+                    cached = None
+                if cached is None or cached.shape != (width,):
                     raise DataError(f"corrupt feature cache entry {path}")
                 out[i] = cached
                 continue

@@ -69,16 +69,25 @@ class SvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvmModel":
-        if d.get("format") != MODEL_FORMAT:
-            raise DataError(f"unknown model format {d.get('format')!r}")
-        k = d["kernel"]
-        # older model files also carry a "lam" entry, which is ignored
-        spec = KernelSpec(k["kind"], k["gamma"], k["degree"], k["coef0"])
-        return cls(spec, float(d["C"]), float(d["gamma_value"]),
-                   np.array(d["support_idx"], dtype=np.int64),
-                   np.array(d["dual_coef"], dtype=np.float64),
-                   np.array(d["support_vectors"], dtype=np.float64),
-                   float(d["bias"]), str(d["train_hash"]))
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != MODEL_FORMAT:
+            raise DataError(f"unknown model format {fmt!r}")
+        try:
+            k = d["kernel"]
+            # older model files also carry a "lam" entry, which is ignored
+            spec = KernelSpec(k["kind"], k["gamma"], k["degree"], k["coef0"])
+            model = cls(spec, float(d["C"]), float(d["gamma_value"]),
+                        np.array(d["support_idx"], dtype=np.int64),
+                        np.array(d["dual_coef"], dtype=np.float64),
+                        np.array(d["support_vectors"], dtype=np.float64),
+                        float(d["bias"]), str(d["train_hash"]))
+            if len(model.dual_coef) != len(model.support_vectors):
+                raise DataError("model has one dual coefficient per support "
+                                "vector, but the counts differ")
+            return model
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise DataError(
+                f"malformed model ({type(exc).__name__}: {exc})") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -88,7 +97,10 @@ class SvmModel:
     @classmethod
     def load(cls, path) -> "SvmModel":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, DataError) as exc:  # ValueError: not JSON
+                raise DataError(f"{path}: {exc}") from None
 
 
 def _train_hash(X: np.ndarray, y: np.ndarray) -> str:

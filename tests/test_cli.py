@@ -86,6 +86,22 @@ def test_embed_rejects_unread_flag_and_bad_jobs(tmp_path, encoded_csv, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--embedding", "e2", "--steps", "4", "--backend", "shots:100",
+     "--seed", "5"],
+    ["--embedding", "e1", "--reps", "6", "--backend", "obp:0.05",
+     "--seed", "0"],
+])
+def test_embed_takes_the_shared_seed_for_any_kind(tmp_path, encoded_csv,
+                                                  flags):
+    # --seed is required on every line; e1 and obp read none of it
+    out = tmp_path / "f.csv"
+    rc = main(["embed", "--input", str(encoded_csv), "--output", str(out),
+               "--scale", "pi2"] + flags)
+    assert rc == 0
+    assert load_feature_csv(out)[0].shape[0] == 10
+
+
 def test_embed_exact_backend_over_cap(tmp_path):
     # all 60 bits set: every chain pair entangles, one 60-qubit cluster
     dense = tmp_path / "dense.csv"
@@ -182,6 +198,33 @@ def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch):
                "--coef0", "1.5"])
     assert rc == 0
     assert seen["grid"] == GridConfig(degree=2, coef0=1.5)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda saved: "not json",
+    lambda saved: json.dumps({"format": saved["format"]}),
+    lambda saved: json.dumps({**saved, "C": "large"}),
+    lambda saved: json.dumps({**saved, "dual_coef": saved["dual_coef"][1:]}),
+], ids=["not-json", "missing-key", "non-numeric-C", "short-dual-coef"])
+def test_evaluate_malformed_model_exits_3(tmp_path, feature_csv, damage):
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv),
+                 "--output", str(model), "--kernel", "linear",
+                 "--c", "1.0"]) == 0
+    model.write_text(damage(json.loads(model.read_text())))
+    rc = main(["evaluate", "--model", str(model),
+               "--features", str(feature_csv)])
+    assert rc == 3
+
+
+def test_non_utf8_input_exits_3(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe,pos2,pos3,cytotoxicity\n")
+    out = tmp_path / "out"
+    assert main(["encode", "--input", str(bad), "--output", str(out)]) == 3
+    assert main(["train", "--features", str(bad), "--output", str(out),
+                 "--c", "1.0"]) == 3
+    assert not out.exists()
 
 
 def test_evaluate_needs_labels(tmp_path, feature_csv):

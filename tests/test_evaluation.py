@@ -365,13 +365,15 @@ def test_config_from_ini_bad_scale(tmp_path):
         ({"caches": {"dir": "cache"}}, r"\[caches\]"),
         # keys the chosen kind does not read
         ({"embedding": {"kind": "e1", "reps": "8", "steps": "4"}},
-         "embedding.steps"),
+         "embedding kind e1 does not read steps"),
         ({"embedding": {"kind": "e1", "reps": "8", "seed": "7"}},
-         "embedding.seed"),
+         "embedding kind e1 does not read seed"),
         ({"embedding": {"kind": "e2", "steps": "4", "seed": "0",
-                        "reps": "8"}}, "embedding.reps"),
-        ({"backend": {"backend": "obp:0.05", "seed": "3"}}, "backend.seed"),
-        ({"backend": {"backend": "exact", "seed": "3"}}, "backend.seed"),
+                        "reps": "8"}}, "embedding kind e2 does not read reps"),
+        ({"backend": {"backend": "obp:0.05", "seed": "3"}},
+         "seed apply to the shots backend, not obp"),
+        ({"backend": {"backend": "exact", "seed": "3"}},
+         "seed apply to the shots backend, not exact"),
         ({"cache": {"n_jobs": "0"}}, "n_jobs"),
     ]
     for i, (sections, where) in enumerate(typos):

@@ -41,6 +41,15 @@ def test_embedding_config_validation():
         EmbeddingConfig(kind="e1", reps=8, scale=1.0)
     with pytest.raises(ConfigError):
         EmbeddingConfig(kind="e2", steps=5, scale=math.pi, seed=0)
+    # each kind needs the fields it reads and rejects the others; e2 reads
+    # a seed for its random RY layer, so it has no default one
+    for fields in ({"kind": "e2", "steps": 4},
+                   {"kind": "e1", "reps": 8, "steps": 4},
+                   {"kind": "e1", "reps": 8, "seed": 0},
+                   {"kind": "e2", "steps": 4, "seed": 0, "reps": 8},
+                   {"kind": "e1", "test_mode": True}):
+        with pytest.raises(ConfigError):
+            EmbeddingConfig(**fields)
     cfg = EmbeddingConfig(kind="e1", reps=3, scale=0.7, test_mode=True)
     assert cfg.n_qubits(60) == 60
 
@@ -86,6 +95,13 @@ def test_backend_validation():
             BackendConfig(kind=kind, shots=100, seed=3)
         with pytest.raises(ConfigError):
             BackendConfig(kind=kind, seed=3)
+    # shot sampling is random, so shots has no default seed; any seed,
+    # 0 included, is an error where nothing reads it
+    with pytest.raises(ConfigError):
+        BackendConfig("shots", shots=100)
+    for text in ("exact", "obp:0.05"):
+        with pytest.raises(ConfigError):
+            BackendConfig.parse(text, seed=0)
 
 
 def test_descriptors_and_cache_paths_are_pinned():
@@ -286,6 +302,20 @@ def test_cache_is_keyed_by_config(tmp_path, rng):
     n_first = len(list(tmp_path.rglob("*.npy")))
     project_features(bits, emb2, EXACT, cache_dir=tmp_path)
     assert len(list(tmp_path.rglob("*.npy"))) == 2 * n_first
+
+
+@pytest.mark.parametrize("damage", ["not an npy file", "wrong length"])
+def test_corrupt_cache_entry_is_a_data_error(tmp_path, rng, damage):
+    bits = _bits(rng, 1, 4)
+    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
+    project_features(bits, emb, EXACT, cache_dir=tmp_path)
+    (entry,) = tmp_path.rglob("*.npy")
+    if damage == "wrong length":
+        np.save(entry, np.zeros(5))
+    else:
+        entry.write_bytes(b"garbage")
+    with pytest.raises(DataError, match="corrupt feature cache entry"):
+        project_features(bits, emb, EXACT, cache_dir=tmp_path)
 
 
 def test_cache_actually_short_circuits(tmp_path, rng, monkeypatch):
