@@ -27,15 +27,6 @@ from .evaluation import (FEATURE_ORDERS, check_alpha, config_from_ini,
 logger = logging.getLogger(__name__)
 
 
-# --seed is required on every embedding command line, whatever the kinds;
-# it reaches only the configs that read it: e2 (its RY layer) and shots
-def _embedding_from_args(args) -> EmbeddingConfig:
-    return EmbeddingConfig(args.embedding, reps=args.reps, steps=args.steps,
-                           scale=parse_scale(args.scale),
-                           seed=args.seed if args.embedding == "e2" else None,
-                           test_mode=args.test_mode)
-
-
 def _add_embedding_flags(sub) -> None:
     sub.add_argument("--embedding", required=True, choices=("e1", "e2"))
     sub.add_argument("--reps", type=int, default=None,
@@ -62,7 +53,14 @@ def _features_from_args(args):
     X, y = dataio.load_encoded_csv(args.input)
     if args.order == "correlation":
         X = X[:, dataio.correlation_order(X)]
-    embedding = _embedding_from_args(args)
+    # --seed is required on every embedding command line, whatever the
+    # kinds; it reaches only the configs that read it: e2 (its RY layer)
+    # and shots
+    embedding = EmbeddingConfig(
+        args.embedding, reps=args.reps, steps=args.steps,
+        scale=parse_scale(args.scale),
+        seed=args.seed if args.embedding == "e2" else None,
+        test_mode=args.test_mode)
     backend = BackendConfig.parse(
         args.backend,
         seed=args.seed if args.backend.startswith("shots:") else None)

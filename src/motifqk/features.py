@@ -140,8 +140,10 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("exact", "shots", "obp"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "shots" and (self.shots < 1 or self.seed is None):
-            raise ConfigError("shots backend needs shots >= 1 and a seed")
+        if self.kind == "shots" and self.shots < 1:
+            raise ConfigError("shots backend needs shots >= 1")
+        if self.kind == "shots" and self.seed is None:
+            raise ConfigError("shots backend needs a seed")
         if self.kind != "shots" and (self.shots or self.seed is not None):
             raise ConfigError(
                 f"shots and seed apply to the shots backend, not {self.kind}")

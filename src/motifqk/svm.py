@@ -81,9 +81,10 @@ class SvmModel:
                         np.array(d["dual_coef"], dtype=np.float64),
                         np.array(d["support_vectors"], dtype=np.float64),
                         float(d["bias"]), str(d["train_hash"]))
-            if len(model.dual_coef) != len(model.support_vectors):
-                raise DataError("model has one dual coefficient per support "
-                                "vector, but the counts differ")
+            if (model.support_vectors.ndim != 2
+                    or len(model.dual_coef) != len(model.support_vectors)):
+                raise DataError("model needs a support-vector matrix with "
+                                "one dual coefficient per row")
             return model
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DataError(

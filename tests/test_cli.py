@@ -205,7 +205,10 @@ def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch):
     lambda saved: json.dumps({"format": saved["format"]}),
     lambda saved: json.dumps({**saved, "C": "large"}),
     lambda saved: json.dumps({**saved, "dual_coef": saved["dual_coef"][1:]}),
-], ids=["not-json", "missing-key", "non-numeric-C", "short-dual-coef"])
+    lambda saved: json.dumps({**saved, "support_vectors": [
+        1.0 for _ in saved["dual_coef"]]}),
+], ids=["not-json", "missing-key", "non-numeric-C", "short-dual-coef",
+        "flat-support-vectors"])
 def test_evaluate_malformed_model_exits_3(tmp_path, feature_csv, damage):
     model = tmp_path / "model.json"
     assert main(["train", "--features", str(feature_csv),

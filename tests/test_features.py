@@ -76,14 +76,16 @@ def test_backend_config_parse():
     obp = BackendConfig.parse("obp:0.05")
     assert (obp.kind, obp.threshold) == ("obp", 0.05)
     assert BackendConfig.parse("obp:0").threshold == 0.0
-    for bad in ("obp", "shots", "shots:0", "shots:x", "obp:-1", "magic"):
+    for bad in ("obp", "shots", "shots:x", "obp:-1", "magic"):
         with pytest.raises(ConfigError):
             BackendConfig.parse(bad)
+    with pytest.raises(ConfigError, match="needs shots >= 1"):
+        BackendConfig.parse("shots:0", seed=0)
 
 
 def test_backend_validation():
-    with pytest.raises(ConfigError):
-        BackendConfig(kind="shots", shots=0)
+    with pytest.raises(ConfigError, match="needs shots >= 1"):
+        BackendConfig(kind="shots", shots=0, seed=0)
     with pytest.raises(ConfigError):
         BackendConfig(kind="obp", threshold=-0.5)
     with pytest.raises(ConfigError):
@@ -97,7 +99,7 @@ def test_backend_validation():
             BackendConfig(kind=kind, seed=3)
     # shot sampling is random, so shots has no default seed; any seed,
     # 0 included, is an error where nothing reads it
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs a seed"):
         BackendConfig("shots", shots=100)
     for text in ("exact", "obp:0.05"):
         with pytest.raises(ConfigError):
