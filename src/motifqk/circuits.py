@@ -29,19 +29,22 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ConfigError(f"unknown gate kind {self.kind!r}")
-        want = 2 if self.kind == "CX" else 1
-        if len(self.qubits) != want or any(
-                not isinstance(q, int) or q < 0 for q in self.qubits):
-            raise ConfigError(f"{self.kind} needs {want} qubit operand(s)")
-        if self.kind == "CX" and self.qubits[0] == self.qubits[1]:
+        kind, qubits, angle = self.kind, self.qubits, self.angle
+        if kind not in GATE_KINDS:
+            raise ConfigError(f"unknown gate kind {kind!r}")
+        want = 2 if kind == "CX" else 1
+        if len(qubits) != want:
+            raise ConfigError(f"{kind} needs {want} qubit operand(s)")
+        for q in qubits:
+            if not isinstance(q, int) or q < 0:
+                raise ConfigError(f"{kind} needs {want} qubit operand(s)")
+        if want == 2 and qubits[0] == qubits[1]:
             raise ConfigError("CX control and target must differ")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ConfigError(f"{self.kind} needs a finite angle")
-        elif self.angle is not None:
-            raise ConfigError(f"{self.kind} takes no angle")
+        if kind in ROTATION_KINDS:
+            if angle is None or not math.isfinite(angle):
+                raise ConfigError(f"{kind} needs a finite angle")
+        elif angle is not None:
+            raise ConfigError(f"{kind} takes no angle")
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,12 @@ class Circuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ConfigError("circuit needs at least one qubit")
+        n = self.n_qubits
         for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise ConfigError(
-                    f"gate {g.kind} on {g.qubits} exceeds {self.n_qubits} qubits")
+            for q in g.qubits:
+                if q >= n:
+                    raise ConfigError(
+                        f"gate {g.kind} on {g.qubits} exceeds {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -90,22 +95,24 @@ def simplify(circuit: Circuit) -> Circuit:
     out: list[Gate | None] = []
     live: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
     for g in circuit.gates:
-        if g.kind in ROTATION_KINDS and g.angle == 0.0:
+        if g.angle == 0.0:  # a rotation by 0; H and CX carry None
             continue
-        tops = [live[q][-1] if live[q] else -1 for q in g.qubits]
-        top = tops[0]
-        prev = out[top] if top >= 0 and len(set(tops)) == 1 else None
+        qubits = g.qubits
+        below = live[qubits[0]]
+        top = below[-1] if below else -1
+        prev = out[top] if top >= 0 else None
+        # prev pairs with g only on top of every qubit of g (a CX's last)
         if prev is not None and prev.kind == g.kind \
-                and prev.qubits == g.qubits:
+                and prev.qubits == qubits and live[qubits[-1]][-1] == top:
             angle = None if g.angle is None else prev.angle + g.angle
             if angle is None or angle == 0.0:
                 out[top] = None
-                for q in g.qubits:
+                for q in qubits:
                     live[q].pop()
             else:
-                out[top] = Gate(g.kind, g.qubits, angle)
+                out[top] = Gate(g.kind, qubits, angle)
             continue
-        for q in g.qubits:
+        for q in qubits:
             live[q].append(len(out))
         out.append(g)
     return Circuit(circuit.n_qubits, tuple(g for g in out if g is not None))
@@ -134,18 +141,14 @@ def build_zz_feature_map(x, reps: int, scale: float) -> Circuit:
         raise ConfigError("reps must be an integer >= 1")
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError("scale must be positive and finite")
-    pairs = _chain_pairs(n)
-    gates = []
-    for _ in range(reps):
-        gates.extend(Gate("H", (q,)) for q in range(n))
-        gates.extend(Gate("RZ", (q,), float(2.0 * scale * x[q]))
-                     for q in range(n))
-        for a, b in pairs:
-            gates.append(Gate("CX", (a, b)))
-            gates.append(Gate("RZ", (b,),
-                              float(2.0 * scale * scale * x[a] * x[b])))
-            gates.append(Gate("CX", (a, b)))
-    return Circuit(n, tuple(gates))
+    rep = [Gate("H", (q,)) for q in range(n)]
+    rep += [Gate("RZ", (q,), float(2.0 * scale * x[q])) for q in range(n)]
+    for a, b in _chain_pairs(n):
+        cx = Gate("CX", (a, b))
+        rep += [cx, Gate("RZ", (b,), float(2.0 * scale * scale * x[a] * x[b])),
+                cx]
+    # every rep is the same gate sequence: build its gates once
+    return Circuit(n, tuple(rep) * reps)
 
 
 def build_heisenberg_embedding(x, steps: int, scale: float,
@@ -166,22 +169,16 @@ def build_heisenberg_embedding(x, steps: int, scale: float,
         raise ConfigError("seed must be an integer")
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, n)
-    gates = [Gate("RY", (q,), float(thetas[q])) for q in range(n)]
+    prep = tuple(Gate("RY", (q,), float(thetas[q])) for q in range(n))
     half = math.pi / 2
-    for _ in range(steps):
-        for a, b in _chain_pairs(n):
-            angle = float(scale * x[a] / steps)
-            # RXX
-            gates += [Gate("H", (a,)), Gate("H", (b,)), Gate("CX", (a, b)),
-                      Gate("RZ", (b,), angle), Gate("CX", (a, b)),
-                      Gate("H", (a,)), Gate("H", (b,))]
-            # RYY
-            gates += [Gate("RX", (a,), half), Gate("RX", (b,), half),
-                      Gate("CX", (a, b)), Gate("RZ", (b,), angle),
-                      Gate("CX", (a, b)),
-                      Gate("RX", (a,), -half), Gate("RX", (b,), -half)]
-            # RZZ
-            gates += [Gate("CX", (a, b)), Gate("RZ", (b,), angle),
-                      Gate("CX", (a, b))]
-    return Circuit(n, tuple(gates))
+    step = []
+    for a, b in _chain_pairs(n):
+        h_a, h_b, cx = Gate("H", (a,)), Gate("H", (b,)), Gate("CX", (a, b))
+        rz = Gate("RZ", (b,), float(scale * x[a] / steps))
+        step += [h_a, h_b, cx, rz, cx, h_a, h_b]  # RXX
+        step += [Gate("RX", (a,), half), Gate("RX", (b,), half), cx, rz, cx,
+                 Gate("RX", (a,), -half), Gate("RX", (b,), -half)]  # RYY
+        step += [cx, rz, cx]  # RZZ
+    # every Trotter step is the same gate sequence: build its gates once
+    return Circuit(n, prep + tuple(step) * steps)
 

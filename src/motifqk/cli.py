@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 5
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

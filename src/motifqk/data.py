@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,17 @@ def binarize_cytotoxicity(value: float,
     return HIGH if value < threshold else LOW
 
 
+@contextmanager
+def open_utf8(path):
+    """Open a UTF-8 text file for CSV reading; bytes that do not decode
+    are a ``DataError`` that names the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_constructs(path) -> list[Construct]:
     """Read a construct screen CSV with columns pos1,pos2,pos3,cytotoxicity.
 
@@ -178,7 +190,7 @@ def load_constructs(path) -> list[Construct]:
     """
     required = ["pos1", "pos2", "pos3", "cytotoxicity"]
     constructs = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
@@ -257,7 +269,7 @@ def write_encoded_csv(path, dataset: EncodedDataset) -> None:
 
 def load_encoded_csv(path):
     """Read an encoded CSV back as (bits uint8 matrix, labels +1/-1)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1] != "label" or \

@@ -9,6 +9,32 @@ cluster fits under statevector.DEFAULT_QUBIT_CAP qubits; and noise-free
 operator backpropagation up to 64 qubits. Backpropagation reads a
 sample's 3n observables in one pass, as one stack (see pauliprop).
 
+Both backends run the simplified circuit (``circuits.simplify``); the
+builders still emit every gate. On a one-hot 60-bit row nearly every data
+gate has angle 0, so obp propagates about 82 gates of E1 reps 8 instead of
+2,376, and 333 of E2 steps 4 instead of 4,141. With a positive truncation
+threshold this moves no bit of a row of 0/1 bits:
+
+- On such rows simplify removes only exact identities: RZ(0), H·H, CX·CX
+  and E2's RX(pi/2)·RX(-pi/2), the one merge, whose angle sums to 0.0.
+- H and CX permute terms and flip signs exactly. RZ(0) splits nothing
+  and, as every stored coefficient already meets the threshold, truncates
+  nothing: its merge only re-sorts terms, and the next real merge sorts
+  them into the same canonical (id, z, x) order anyway.
+- Through the built RX pair a term returns with coefficient
+  c·sin(pi/2)^2 = c, once truncation has dropped its cos(pi/2) ~ 6e-17 part.
+- A merging group holds at most one original term and one branch, so its
+  sum does not depend on the order that re-sorts left.
+
+Two cases escape this argument: the terms left after an observable's last
+real merge are summed in the order a skipped re-sort would have changed,
+and an observable holding a term and its Y/Z partner on the RX pair's
+qubit would add the cos(pi/2) part to the partner. So the identity is also
+checked byte for byte on every production embedding
+(``tests/test_features.py``). At threshold 0 nothing drops the cos(pi/2)
+parts: untruncated E2 rows move by about 1e-32, and their cache keys
+carry a tag.
+
 Truncated backpropagation estimates each expectation with bounded error,
 which can leave a per-qubit triple slightly outside the unit Bloch ball;
 such triples are projected radially back onto the ball, which never moves
@@ -30,10 +56,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BackendError, ConfigError, DataError
+from .data import open_utf8
 from . import statevector as sv
-from .circuits import Circuit
+from .circuits import Circuit, simplify
 from .circuits import build_heisenberg_embedding, build_zz_feature_map
-from .pauliprop import ObservableSum, PauliString, backpropagate_observable, \
+from .pauliprop import ObservableSum, backpropagate_observable, \
     obp_expectations
 
 logger = logging.getLogger(__name__)
@@ -205,11 +232,10 @@ def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
     n = circuit.n_qubits
     out = np.empty(3 * n, dtype=np.float64)
     if backend.kind == "obp":
-        stack = ObservableSum.stack(
-            ObservableSum({PauliString.single(q, b): 1.0})
-            for q in range(n) for b in BASES)
-        out[:] = obp_expectations(
-            backpropagate_observable(circuit, stack, backend.threshold))
+        # the simplified circuit gives the same bits (module docstring)
+        out[:] = obp_expectations(backpropagate_observable(
+            simplify(circuit), ObservableSum.single_qubit_stack(n),
+            backend.threshold))
         # truncation can push a triple off the Bloch ball; the true
         # value lies inside, so radial projection only shrinks error
         vecs = out.reshape(n, 3)
@@ -242,6 +268,10 @@ def _cache_path(cache_dir: Path, bits_key: str, embedding: EmbeddingConfig,
         # rows read per cluster differ from the old whole-register
         # readout in the last bits; keep the two apart
         text += "|readout=cluster"
+    elif backend.threshold == 0.0:
+        # untruncated, the simplified circuit's rows differ from the built
+        # circuit's in the last bits (module docstring); truncated do not
+        text += "|circuit=simplified"
     key = hashlib.sha256(text.encode()).hexdigest()
     return cache_dir / key[:2] / f"{key}.npy"
 
@@ -333,7 +363,7 @@ def write_feature_csv(path, features: np.ndarray, labels=None) -> None:
 
 def load_feature_csv(path):
     """Read a feature CSV; returns (features, labels-or-None)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

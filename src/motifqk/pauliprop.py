@@ -107,6 +107,24 @@ class ObservableSum:
         return obs
 
     @classmethod
+    def single_qubit_stack(cls, n_qubits: int) -> "ObservableSum":
+        """X, Y and Z of every qubit, one observable each, coefficient 1.
+
+        Observable 3q + k is basis k of (X, Y, Z) on qubit q: the same
+        stack, field for field, as stacking the one-term sums
+        {PauliString.single(q, b): 1.0} qubit by qubit.
+        """
+        if n_qubits > 64:
+            raise BackendError("obp backend packs masks into 64-bit words")
+        one = _U1 << np.arange(n_qubits, dtype=np.uint64)
+        zero = np.zeros_like(one)
+        n_obs = 3 * n_qubits
+        return cls._from_arrays(
+            np.stack([one, one, zero], axis=1).reshape(-1),
+            np.stack([zero, one, one], axis=1).reshape(-1),
+            np.ones(n_obs), np.arange(n_obs, dtype=np.intp), n_obs)
+
+    @classmethod
     def stack(cls, sums) -> "ObservableSum":
         """One stack of the observables of one or more sums, in order."""
         sums = list(sums)

@@ -220,13 +220,20 @@ def test_evaluate_malformed_model_exits_3(tmp_path, feature_csv, damage):
     assert rc == 3
 
 
-def test_non_utf8_input_exits_3(tmp_path):
+def test_non_utf8_input_exits_3(tmp_path, capsys):
+    # one command per CSV reader: constructs, features, encoded bits
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"\xff\xfe,pos2,pos3,cytotoxicity\n")
     out = tmp_path / "out"
-    assert main(["encode", "--input", str(bad), "--output", str(out)]) == 3
-    assert main(["train", "--features", str(bad), "--output", str(out),
-                 "--c", "1.0"]) == 3
+    for argv in (["encode", "--input", str(bad), "--output", str(out)],
+                 ["train", "--features", str(bad), "--output", str(out),
+                  "--c", "1.0"],
+                 ["embed", "--input", str(bad), "--output", str(out),
+                  "--embedding", "e1", "--reps", "8", "--scale", "pi2",
+                  "--backend", "obp:0.05", "--seed", "0"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
     assert not out.exists()
 
 
@@ -318,6 +325,15 @@ def test_report_missing_config(tmp_path):
     rc = main(["report", "--config", str(tmp_path / "nope.ini"),
                "--output-dir", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_report_non_utf8_config_names_the_file(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[dataset]\npath = \xff\xfe.csv\n")
+    rc = main(["report", "--config", str(ini),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert str(ini) in capsys.readouterr().err
 
 
 def test_report_malformed_number(tmp_path, raw_csv):

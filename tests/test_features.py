@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from motifqk import features
-from motifqk.data import correlation_order
+from motifqk.circuits import simplify
+from motifqk.data import Construct, MOTIF_CATALOG, correlation_order, \
+    encode_dataset
 from motifqk.errors import BackendError, ConfigError, DataError
 from motifqk.features import (
     BackendConfig,
@@ -24,6 +26,13 @@ from motifqk.pauliprop import ObservableSum, PauliString, \
 
 OBP0 = BackendConfig(kind="obp", threshold=0.0)
 EXACT = BackendConfig(kind="exact")
+PRODUCTION_EMBEDDINGS = (
+    [EmbeddingConfig("e1", reps=r, scale=s) for r in features.PRODUCTION_REPS
+     for s in features.PRODUCTION_SCALES]
+    + [EmbeddingConfig("e2", steps=k, scale=s, seed=0)
+       for k in features.PRODUCTION_STEPS for s in features.PRODUCTION_SCALES])
+# the row of test_obp_features_at_60_bits_are_pinned: 25 of 60 bits set
+DENSE_ROW = "010000111100100010000111100110000111110000101011100011000000"
 
 
 def _bits(rng, n, d):
@@ -131,6 +140,18 @@ def test_descriptors_and_cache_paths_are_pinned():
     ]
 
 
+def test_untruncated_obp_cache_path_is_tagged():
+    # obp:0 rows of the simplified circuit differ from those of the built
+    # circuit in the last bits, so their keys carry a tag and the untagged
+    # key of rows from the built circuit is never read
+    e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    path = _cache_path(Path("c"), "01" * 30, e2, BackendConfig.parse("obp:0"))
+    assert path.as_posix() == ("c/df/df51af31d44bb9678d229a99b0999f7ef658"
+                               "15f3e5fea59c9ec2a2a1d00a3f5a.npy")
+    untagged = f"{'01' * 30}|{e2.descriptor()}|obp:0.0"
+    assert path.stem != hashlib.sha256(untagged.encode()).hexdigest()
+
+
 def test_obp_features_at_60_bits_are_pinned():
     # sha256 of the float64 bytes of one 60-bit row on obp:0.05; any change
     # to the propagation order, merging or truncation moves them
@@ -146,6 +167,64 @@ def test_obp_features_at_60_bits_are_pinned():
         "bbadc7a6db1e2b95ad3e55b88bb91bd08e1c10854acea04ebc9244f1a8af5050",
         "69344f2e741ad8dd20ade2eaa6072b0624bea5123f8f63f652dd63794d36d38f",
     ]
+
+
+def _one_hot_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    motifs = sorted(MOTIF_CATALOG)
+    return encode_dataset(
+        [Construct(tuple(str(m) for m in rng.choice(motifs, rng.integers(1, 4))),
+                   0.5) for _ in range(n)]).bits
+
+
+@pytest.mark.parametrize("emb", PRODUCTION_EMBEDDINGS,
+                         ids=lambda e: e.descriptor())
+def test_obp_of_the_simplified_circuit_matches_the_built_one(emb):
+    # project_features propagates simplify(circuit); every bit of a row
+    # must come out as from the circuit as built (features docstring)
+    bits = _one_hot_rows(40, seed=7)
+    ordered = bits[:, correlation_order(bits)]
+    # in correlation order, the first row with two pairs of adjacent set
+    # bits, so that E1's entanglers act too
+    adjacent = (ordered[:, 1:] & ordered[:, :-1]).sum(axis=1)
+    rows = [bits[0], ordered[np.flatnonzero(adjacent == 2)[0]]]
+    # untruncated on the correlation-order row only, and the dense row at
+    # the pinned test's scale only: this keeps the test near 10 s
+    cases = [(rows[0], 0.05), (rows[1], 0.05), (rows[1], 0.0)]
+    if emb.scale == math.pi / 2:
+        cases.append((np.array([int(b) for b in DENSE_ROW]), 0.05))
+    for row, threshold in cases:
+        circuit = emb.build(row.astype(float))
+        stack = ObservableSum.single_qubit_stack(circuit.n_qubits)
+        built, simple = (obp_expectations(backpropagate_observable(
+            c, stack, threshold)) for c in (circuit, simplify(circuit)))
+        if threshold or emb.kind == "e1":
+            assert built.tobytes() == simple.tobytes()
+        else:
+            # untruncated, each RX(pi/2)·RX(-pi/2) pair that simplify
+            # removes leaves cos(pi/2)^2-sized terms in the built circuit
+            assert np.abs(built - simple).max() <= 1e-30
+
+
+def test_single_qubit_stack_matches_stacked_sums():
+    for n in (1, 5, 61, 64):
+        old = ObservableSum.stack(
+            ObservableSum({PauliString.single(q, b): 1.0})
+            for q in range(n) for b in "XYZ")
+        new = ObservableSum.single_qubit_stack(n)
+        assert new.n_obs == old.n_obs == 3 * n
+        for field in ("xs", "zs", "cs", "ids"):
+            a, b = getattr(new, field), getattr(old, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    with pytest.raises(BackendError):
+        ObservableSum.single_qubit_stack(65)
+
+
+def test_obp_beyond_64_qubits_is_a_backend_error():
+    # a typed error (exit 4), not an OverflowError from the readout masks
+    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
+    with pytest.raises(BackendError, match="64-bit"):
+        project_features(np.zeros((1, 65), dtype=np.uint8), emb, OBP0)
 
 
 def test_e1_natural_order_product_state_is_analytic():
