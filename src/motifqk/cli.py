@@ -21,8 +21,9 @@ from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
 from .kernels import KERNEL_KINDS, KernelSpec, check_lam, parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
-from .evaluation import (FEATURE_ORDERS, check_alpha, config_from_ini,
-                         per_motif_analysis, run_experiment, screen_advantage)
+from .evaluation import (FEATURE_ORDERS, METHODS, check_alpha,
+                         config_from_ini, per_motif_analysis, run_experiment,
+                         screen_advantage)
 
 logger = logging.getLogger(__name__)
 
@@ -103,8 +104,6 @@ def cmd_screen(args) -> int:
 
 def cmd_train(args) -> int:
     F, y = load_feature_csv(args.features)
-    if y is None:
-        raise DataError(f"{args.features} has no label column")
     if args.grid:
         grid = GridConfig(degree=args.degree, coef0=args.coef0)
         result = grid_search(F, y, grid, folds=args.folds, seed=args.cv_seed,
@@ -131,8 +130,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = SvmModel.load(args.model)
     F, y = load_feature_csv(args.features)
-    if y is None:
-        raise DataError(f"{args.features} has no label column")
     preds = predict(model, F)
     metrics = {
         "n": int(F.shape[0]),
@@ -162,7 +159,7 @@ def _write_report_tables(report, outdir: Path, alpha: float) -> None:
         for axis in sorted(report.counts):
             for pos in sorted(report.counts[axis], key=int):
                 for value in sorted(report.counts[axis][pos]):
-                    for method in ("original", "pqk"):
+                    for method in METHODS:
                         ok, bad = report.counts[axis][pos][value][method]
                         writer.writerow([axis, pos, value, method, ok, bad])
     with open(outdir / "fisher.csv", "w", newline="", encoding="utf-8") as fh:

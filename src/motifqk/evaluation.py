@@ -13,7 +13,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 from pathlib import Path
 
@@ -133,8 +133,8 @@ class ExperimentConfig:
             "cv_seed": self.cv_seed,
             "feature_order": self.feature_order,
             "grid": {"kernels": list(self.grid.kernels),
-                     "n_c": len(self.grid.c_values),
-                     "n_gamma": len(self.grid.gamma_values),
+                     "c_values": list(self.grid.c_values),
+                     "gamma_values": list(self.grid.gamma_values),
                      "degree": self.grid.degree,
                      "coef0": self.grid.coef0},
             "smo_tol": self.smo_tol,
@@ -158,11 +158,7 @@ class EvalReport:
     fisher: dict
 
     def to_dict(self) -> dict:
-        return {"config": self.config, "config_hash": self.config_hash,
-                "n_samples": self.n_samples, "split_sizes": self.split_sizes,
-                "f1": self.f1, "median_f1": self.median_f1,
-                "max_f1": self.max_f1, "chosen": self.chosen,
-                "counts": self.counts, "fisher": self.fisher}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -291,8 +287,10 @@ def _run_arm(X, y, tr, te, config: ExperimentConfig):
 
 def run_experiment(dataset: EncodedDataset,
                    config: ExperimentConfig) -> EvalReport:
-    """Run both arms over every split and assemble the full report."""
-    X_bits = dataset.bits.astype(np.float64)
+    """Run both arms over every split and assemble the full report; the
+    pqk arm projects features once per distinct column order."""
+    bits = dataset.bits
+    X_bits = bits.astype(np.float64)
     y = dataset.y
     N = len(dataset)
     if len(np.unique(y)) < 2:
@@ -301,34 +299,27 @@ def run_experiment(dataset: EncodedDataset,
                        config.split_seed)
     categories = [decode_one_hot(s.bits, dataset.layout)
                   for s in dataset.samples]
-    natural_features = None
-    if config.feature_order == "natural":
-        natural_features = project_features(
-            dataset.bits, config.embedding, config.backend,
-            cache_dir=config.cache_dir, n_jobs=config.n_jobs)
+    features: dict[tuple[int, ...], np.ndarray] = {}
     f1 = {m: [] for m in METHODS}
     chosen = {m: [] for m in METHODS}
     counts: dict = {}
     split_sizes = []
     for tr, te in plan.splits:
         split_sizes.append([len(tr), len(te)])
+        order = (tuple(correlation_order(bits[list(tr)]))
+                 if config.feature_order == "correlation"
+                 else tuple(range(bits.shape[1])))
+        if order not in features:
+            features[order] = project_features(
+                bits[:, order], config.embedding, config.backend,
+                cache_dir=config.cache_dir, n_jobs=config.n_jobs)
         y_te = y[list(te)]
-        preds_o, chose_o = _run_arm(X_bits, y, tr, te, config)
-        f1["original"].append(weighted_f1(y_te, preds_o))
-        chosen["original"].append(chose_o)
-        _accumulate(counts, categories, te, preds_o == y_te, "original")
-        if config.feature_order == "correlation":
-            order = correlation_order(dataset.bits[list(tr)])
-            F = project_features(dataset.bits[:, order], config.embedding,
-                                 config.backend, cache_dir=config.cache_dir,
-                                 n_jobs=config.n_jobs)
-        else:
-            F = natural_features
-        preds_q, chose_q = _run_arm(F, y, tr, te, config)
-        f1["pqk"].append(weighted_f1(y_te, preds_q))
-        chosen["pqk"].append(chose_q)
-        _accumulate(counts, categories, te, preds_q == y_te, "pqk")
-    report = EvalReport(
+        for method, X in zip(METHODS, (X_bits, features[order])):
+            preds, chose = _run_arm(X, y, tr, te, config)
+            f1[method].append(weighted_f1(y_te, preds))
+            chosen[method].append(chose)
+            _accumulate(counts, categories, te, preds == y_te, method)
+    return EvalReport(
         config=config.provenance(),
         config_hash=_config_hash(config),
         n_samples=N,
@@ -340,7 +331,6 @@ def run_experiment(dataset: EncodedDataset,
         counts=counts,
         fisher=fisher_from_counts(counts),
     )
-    return report
 
 
 # every key config_from_ini reads, by section; anything else is a typo

@@ -339,37 +339,35 @@ def project_features(bits, embedding: EmbeddingConfig,
     return out
 
 
-def write_feature_csv(path, features: np.ndarray, labels=None) -> None:
-    """Write a feature matrix (optionally with a trailing label column)."""
+def write_feature_csv(path, features: np.ndarray, labels) -> None:
+    """Write a feature matrix, columns q0_X ... q{n-1}_Z, then a label
+    column."""
     F = np.asarray(features, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] == 0 or F.shape[1] % 3:
         raise DataError("feature matrix must be 2-D with nonzero width "
                         "3 * n_qubits")
-    header = feature_names(F.shape[1] // 3)
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (F.shape[0],):
-            raise DataError("labels length must match feature rows")
-        header = header + ["label"]
+    labels = np.asarray(labels)
+    if labels.shape != (F.shape[0],):
+        raise DataError("labels length must match feature rows")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(F):
-            cells = [f"{v:.17g}" for v in row]
-            if labels is not None:
-                cells.append(str(int(labels[i])))
-            writer.writerow(cells)
+        writer.writerow(feature_names(F.shape[1] // 3) + ["label"])
+        for row, label in zip(F, labels):
+            writer.writerow([f"{v:.17g}" for v in row] + [str(int(label))])
 
 
 def load_feature_csv(path):
-    """Read a feature CSV; returns (features, labels-or-None)."""
+    """Read a feature CSV written by ``write_feature_csv``; returns
+    (features, labels). A file without the trailing label column is a
+    ``DataError``."""
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty feature file")
-        has_label = header and header[-1] == "label"
-        cols = header[:-1] if has_label else header
+        if header[-1:] != ["label"]:
+            raise DataError(f"{path} has no label column")
+        cols = header[:-1]
         if not cols or len(cols) % 3 or cols != feature_names(len(cols) // 3):
             raise DataError(f"{path}: malformed feature header")
         feats, labels = [], []
@@ -377,9 +375,8 @@ def load_feature_csv(path):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: wrong column count")
             try:
-                feats.append([float(v) for v in row[:len(cols)]])
-                if has_label:
-                    labels.append(int(row[-1]))
+                feats.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     if not feats:
@@ -387,5 +384,4 @@ def load_feature_csv(path):
     F = np.array(feats, dtype=np.float64)
     if not np.isfinite(F).all():
         raise DataError(f"{path}: non-finite feature values")
-    y = np.array(labels, dtype=np.int64) if has_label else None
-    return F, y
+    return F, np.array(labels, dtype=np.int64)

@@ -20,7 +20,6 @@ folds so results are exactly reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -47,7 +46,6 @@ class SvmModel:
     dual_coef: np.ndarray
     support_vectors: np.ndarray
     bias: float
-    train_hash: str
     converged: bool = True
 
     def to_dict(self) -> dict:
@@ -64,7 +62,6 @@ class SvmModel:
             "dual_coef": [float(a) for a in self.dual_coef],
             "support_vectors": [[float(v) for v in row]
                                 for row in self.support_vectors],
-            "train_hash": self.train_hash,
         }
 
     @classmethod
@@ -74,13 +71,14 @@ class SvmModel:
             raise DataError(f"unknown model format {fmt!r}")
         try:
             k = d["kernel"]
-            # older model files also carry a "lam" entry, which is ignored
+            # older model files also carry "lam" and "train_hash"
+            # entries, which are ignored
             spec = KernelSpec(k["kind"], k["gamma"], k["degree"], k["coef0"])
             model = cls(spec, float(d["C"]), float(d["gamma_value"]),
                         np.array(d["support_idx"], dtype=np.int64),
                         np.array(d["dual_coef"], dtype=np.float64),
                         np.array(d["support_vectors"], dtype=np.float64),
-                        float(d["bias"]), str(d["train_hash"]))
+                        float(d["bias"]))
             if (model.support_vectors.ndim != 2
                     or len(model.dual_coef) != len(model.support_vectors)):
                 raise DataError("model needs a support-vector matrix with "
@@ -102,13 +100,6 @@ class SvmModel:
                 return cls.from_dict(json.load(fh))
             except (ValueError, DataError) as exc:  # ValueError: not JSON
                 raise DataError(f"{path}: {exc}") from None
-
-
-def _train_hash(X: np.ndarray, y: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(X).tobytes())
-    h.update(np.ascontiguousarray(y).tobytes())
-    return h.hexdigest()[:16]
 
 
 def _may_move(y: float, a: float, C: float, eps: float):
@@ -245,8 +236,7 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     sv = alpha > C * 1e-8
     idx = np.flatnonzero(sv)
     return SvmModel(spec, float(C), gamma, idx,
-                    (alpha * yf)[idx], X[idx].copy(), bias,
-                    _train_hash(X, y), converged)
+                    (alpha * yf)[idx], X[idx].copy(), bias, converged)
 
 
 def decision_function(model: SvmModel, X) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from motifqk.errors import ConfigError, DataError
 from motifqk.kernels import KernelSpec, kernel_matrix, resolve_gamma
-from motifqk.svm import SvmModel, _check_solution, _train_hash
+from motifqk.svm import SvmModel, _check_solution
 
 
 def _violating_pair(score, yf, alpha, C: float, eps: float):
@@ -102,5 +102,4 @@ def reference_smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     sv = alpha > C * 1e-8
     idx = np.flatnonzero(sv)
     return SvmModel(spec, float(C), gamma, idx,
-                    (alpha * yf)[idx], X[idx].copy(), bias,
-                    _train_hash(X, y))
+                    (alpha * yf)[idx], X[idx].copy(), bias)

@@ -237,19 +237,25 @@ def test_non_utf8_input_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_evaluate_needs_labels(tmp_path, feature_csv):
-    feats, _ = load_feature_csv(feature_csv)
+def test_evaluate_needs_labels(tmp_path, feature_csv, capsys):
+    # the labeled file without its last column
+    lines = feature_csv.read_text().splitlines()
     unlabeled = tmp_path / "unlabeled.csv"
-    from motifqk.features import write_feature_csv
-
-    write_feature_csv(unlabeled, feats)
+    unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in lines))
     model = tmp_path / "model.json"
     assert main(["train", "--features", str(feature_csv),
                  "--output", str(model), "--kernel", "linear",
                  "--c", "1.0"]) == 0
-    rc = main(["evaluate", "--model", str(model),
-               "--features", str(unlabeled)])
-    assert rc == 3
+    capsys.readouterr()
+    for argv in (["train", "--features", str(unlabeled),
+                  "--output", str(tmp_path / "other.json"), "--c", "1.0"],
+                 ["evaluate", "--model", str(model),
+                  "--features", str(unlabeled)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{unlabeled} has no label column" in err
+    assert not (tmp_path / "other.json").exists()
 
 
 def test_screen_writes_metrics(tmp_path, encoded_csv):

@@ -1,6 +1,8 @@
 """Split protocol, Fisher test, screening, and experiment-report tests."""
 
 import configparser
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -11,6 +13,7 @@ import pytest
 import scipy.stats
 
 from motifqk.data import EMPTY, TERMINAL, Construct, EncodingLayout, encode_dataset
+from motifqk import evaluation
 from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import (
     ExperimentConfig,
@@ -23,7 +26,7 @@ from motifqk.evaluation import (
     run_experiment,
     screen_advantage,
 )
-from motifqk.features import BackendConfig, EmbeddingConfig
+from motifqk.features import BackendConfig, EmbeddingConfig, project_features
 from motifqk.kernels import KernelSpec
 from motifqk.svm import GridConfig
 from motifqk.synthetic import make_separable_dataset, separable_layout
@@ -412,7 +415,7 @@ def test_readme_production_ini_parses(tmp_path):
     assert (config.split_seed, config.cv_seed) == (0, 0)
     assert config.feature_order == "natural"
     assert config.grid == GridConfig()
-    assert _config_hash(config) == "e9d34fbd27e1dc88"
+    assert _config_hash(config) == "6fd7a75877c211bc"
 
 
 def test_split_plan_serialization():
@@ -439,6 +442,45 @@ def test_experiment_config_hash_changes_with_config():
     b = run_experiment(make_separable_dataset(),
                        _synthetic_config(n_splits=2))
     assert a.config_hash != b.config_hash
+    # grids of one size that search other values are other configs
+    for other in (dataclasses.replace(TINY_GRID, c_values=(2.0,)),
+                  dataclasses.replace(TINY_GRID, gamma_values=(0.5,))):
+        assert _config_hash(_synthetic_config(grid=other)) != a.config_hash
+
+
+def test_demo_report_bytes_are_pinned():
+    # the demo config (scripts/demo_synthetic.py, the benchmark's report
+    # workload); a change that moves these bytes updates the pin and says why
+    config = _synthetic_config(
+        n_splits=10, grid=GridConfig(kernels=("linear",),
+                                     c_values=(1.0, 14.75),
+                                     gamma_values=("scale",)))
+    text = run_experiment(make_separable_dataset(), config).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6a92208da632d34fd6b462ec9e20ff158033cc9113f03e6b6dfe85047641ddef")
+
+
+def test_run_experiment_projects_once_per_column_order(monkeypatch):
+    projected = []
+
+    def spy(bits, *args, **kwargs):
+        projected.append(bits.tobytes())
+        return project_features(bits, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "project_features", spy)
+    dataset = make_separable_dataset()
+    run_experiment(dataset, _synthetic_config())
+    assert projected == [dataset.bits.tobytes()]
+    # here the three training sets give three correlation orders
+    projected.clear()
+    run_experiment(dataset, _synthetic_config(feature_order="correlation"))
+    assert len(set(projected)) == len(projected) == 3
+    # an order that every split shares is projected once
+    projected.clear()
+    monkeypatch.setattr(evaluation, "correlation_order",
+                        lambda bits: list(range(bits.shape[1]))[::-1])
+    run_experiment(dataset, _synthetic_config(feature_order="correlation"))
+    assert projected == [dataset.bits[:, ::-1].tobytes()]
 
 
 def test_run_experiment_rejects_label_collapse():

@@ -444,13 +444,12 @@ def test_feature_csv_round_trip(tmp_path, rng):
     assert np.array_equal(labels, y)
 
 
-def test_feature_csv_without_labels(tmp_path, rng):
-    feats = rng.uniform(-1, 1, (2, 3))
+def test_feature_csv_without_labels(tmp_path):
+    # every feature file carries labels: one without them is refused
     path = tmp_path / "features.csv"
-    write_feature_csv(path, feats)
-    loaded, labels = load_feature_csv(path)
-    assert np.allclose(loaded, feats, atol=0)
-    assert labels is None
+    path.write_text("q0_X,q0_Y,q0_Z\n0.5,0,1\n")
+    with pytest.raises(DataError, match=f"{path} has no label column"):
+        load_feature_csv(path)
 
 
 def test_feature_csv_rejects_bad_header(tmp_path):

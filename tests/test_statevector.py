@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motifqk.circuits import Circuit, Gate, build_heisenberg_embedding, \
@@ -180,6 +180,8 @@ def test_simplify_keeps_the_state(n, seed):
 
 @given(st.sampled_from(["e1", "e2"]), st.integers(min_value=2, max_value=20),
        st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+# qubit 19 sees only H, exact X = 1; the dense readout gives 1 - 3.26e-12
+@example(kind="e1", width=20, binary=True, seed=155)
 @settings(max_examples=30, deadline=None)
 def test_cluster_readout_matches_dense(kind, width, binary, seed):
     rng = np.random.default_rng(seed)
@@ -199,7 +201,14 @@ def test_cluster_readout_matches_dense(kind, width, binary, seed):
                                              seed=seed)
     got = bloch_vectors(circuit)
     assert got.shape == (circuit.n_qubits, 3)
-    assert np.abs(got - _dense_bloch(circuit)).max() <= 1e-12
+    # The dense oracle's error is the rounding of its sums of 2**(n-1)
+    # amplitude products (on seed 155 an exactly rounded sum of the same
+    # amplitudes is off by 3e-15), bounded by about 2**(n-1) * eps. Over
+    # 920 draws at widths 8-20 its largest error was 0.085 of that bound
+    # at 14-20 qubits; below 14 qubits the gate rounding, under 2.1e-14,
+    # dominates, and 1e-12 holds.
+    bound = max(1e-12, 2.0 ** (circuit.n_qubits - 1) * np.finfo(float).eps)
+    assert np.abs(got - _dense_bloch(circuit)).max() <= bound
 
 
 def test_bloch_vectors_untouched_qubits_and_cluster_cap():

@@ -111,10 +111,15 @@ def test_model_save_load_round_trip(tmp_path, rng):
     Xt = rng.normal(size=(5, 3))
     assert np.array_equal(predict(model, Xt), predict(loaded, Xt))
     assert loaded.gamma_value == model.gamma_value
-    # files written while KernelSpec still had a lam field load as before
-    old = model.to_dict()
-    old["kernel"]["lam"] = 1.0
-    assert SvmModel.from_dict(old).spec == model.spec
+    # files written while KernelSpec still had a lam field, or while
+    # models carried a training-data hash, load and predict as before
+    assert "train_hash" not in model.to_dict()
+    for key, extra in (("lam", 1.0), ("train_hash", "0123456789abcdef")):
+        old = model.to_dict()
+        (old["kernel"] if key == "lam" else old)[key] = extra
+        from_old = SvmModel.from_dict(old)
+        assert from_old.spec == model.spec
+        assert np.array_equal(predict(from_old, Xt), predict(model, Xt))
 
 
 def test_model_load_rejects_other_format(tmp_path):
