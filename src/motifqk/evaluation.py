@@ -25,7 +25,7 @@ from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
 from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
     parse_scale, project_features
 from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
-    model_complexity, parse_gamma
+    model_complexity, parse_gamma, spectrum
 from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
 
 METHODS = ("original", "pqk")
@@ -230,9 +230,12 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
         raise DataError("bits, features, and labels must align")
     Kc = kernel_matrix(Xc, spec)
     Kq = kernel_matrix(Fq, spec)
-    g = geometric_difference(Kc, Kq, lam)
-    s_c = model_complexity(Kc, y, lam)
-    s_q = model_complexity(Kq, y, lam)
+    # one eigh per Gram; Kc's ridge is checked before Kq is decomposed and
+    # Kq's in s_pqk, the order the Gram-matrix calls check them in
+    c, q = spectrum(Kc, lam), spectrum(Kq)
+    g = geometric_difference(c, q, lam)
+    s_c = model_complexity(c, y, lam)
+    s_q = model_complexity(q, y, lam)
     root_n = math.sqrt(Xc.shape[0])
     geometry_separated = g >= 0.5 * root_n
     complexity_gap = s_c >= 0.5 * root_n and s_q <= 0.5 * s_c

@@ -2,9 +2,12 @@
 
 The geometric difference g(Kc, Kq) and model complexity s_K quantify, from
 Gram matrices alone, whether a quantum-projected kernel can separate itself
-from a classical one on the same data; their eigendecompositions use numpy's
-``eigh``. The cyclic Jacobi solver has no production caller; it stays because
-the benchmark's ``kernels.jacobi_eigh`` span wraps it by name.
+from a classical one on the same data. Both take a Gram matrix or its
+``spectrum``: the eigenpairs of the trace-normalized matrix from one numpy
+``eigh``. A screening call decomposes each Gram once and hands the spectrum
+to g and s_K; given the Gram matrices, they return the same bits. The cyclic
+Jacobi solver has no production caller; it stays because the benchmark's
+``kernels.jacobi_eigh`` span wraps it by name.
 """
 
 from __future__ import annotations
@@ -185,19 +188,47 @@ def _psd_eigh(K):
     return w, V
 
 
-def _ridge_eigh(K, lam: float):
-    """Eigenpairs of trace-normalized K, with K + lam I checked nonsingular."""
-    check_lam(lam)
-    w, V = _psd_eigh(trace_normalized(K))
-    if w[0] + lam <= 1e-12:
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenpairs of a trace-normalized PSD Gram matrix: ascending
+    eigenvalues ``w`` and eigenvectors ``V`` (columns), as ``eigh`` gives."""
+
+    w: np.ndarray
+    V: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the Gram matrix the eigenpairs describe."""
+        return self.V.shape
+
+
+def _checked(K):
+    return K if isinstance(K, Spectrum) else check_kernel_matrix(K)
+
+
+def spectrum(K, lam: float | None = None) -> Spectrum:
+    """The one ``eigh`` of a Gram matrix that g and s_K share.
+
+    K must be square, symmetric, finite and PSD; it is trace-normalized to
+    N before the decomposition. With ``lam``, lam is checked before the
+    decomposition and K + lam I must be nonsingular. A Spectrum passes
+    through, with the ``lam`` checks applied to it.
+    """
+    K = _checked(K)
+    if lam is not None:
+        check_lam(lam)
+    if not isinstance(K, Spectrum):
+        K = Spectrum(*_psd_eigh(trace_normalized(K)))
+    if lam is not None and K.w[0] + lam <= 1e-12:
         raise DataError("K + lam*I is singular; use a positive lam")
-    return w, V
+    return K
 
 
 def psd_sqrt(K) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues below -1e-8 are rejected,
-    small negative ones are clipped to zero."""
-    w, V = _psd_eigh(K)
+    """Symmetric PSD square root of K, or of the trace-normalized matrix a
+    Spectrum describes; eigenvalues below -1e-8 are rejected, small
+    negative ones are clipped to zero."""
+    w, V = (K.w, K.V) if isinstance(K, Spectrum) else _psd_eigh(K)
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return (root + root.T) / 2.0
 
@@ -207,14 +238,15 @@ def geometric_difference(Kc, Kq, lam: float = 0.0) -> float:
 
     Both kernels are trace-normalized to N first. Large values (on the
     order of sqrt(N)) mean the classical kernel cannot mimic the quantum
-    geometry; small values mean a classical model should match.
+    geometry; small values mean a classical model should match. Either
+    argument may be a Gram matrix or its ``spectrum``.
     """
-    Kc, Kq = check_kernel_matrix(Kc), check_kernel_matrix(Kq)
+    Kc, Kq = _checked(Kc), _checked(Kq)
     if Kc.shape != Kq.shape:
         raise DataError("kernel matrices must have identical shape")
-    wc, Vc = _ridge_eigh(Kc, lam)
-    B = (Vc * (np.clip(wc, 0.0, None) / (wc + lam) ** 2)) @ Vc.T
-    Sq = psd_sqrt(trace_normalized(Kq))
+    c = spectrum(Kc, lam)
+    B = (c.V * (np.clip(c.w, 0.0, None) / (c.w + lam) ** 2)) @ c.V.T
+    Sq = psd_sqrt(spectrum(Kq))
     return math.sqrt(max(float(np.linalg.eigvalsh(Sq @ B @ Sq)[-1]), 0.0))
 
 
@@ -224,16 +256,16 @@ def model_complexity(K, y, lam: float = 0.0) -> float:
 
     Values near sqrt(N) mean the kernel needs about one support vector per
     sample (no generalization); small values mean the labels are easy for
-    this geometry.
+    this geometry. K may be a Gram matrix or its ``spectrum``.
     """
-    K = check_kernel_matrix(K)
+    K = _checked(K)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (K.shape[0],):
         raise DataError("label vector length must match the kernel")
     N = K.shape[0]
-    w, V = _ridge_eigh(K, lam)
-    u = V.T @ y
-    denom = (w + lam) ** 2
+    s = spectrum(K, lam)
+    u = s.V.T @ y
+    denom = (s.w + lam) ** 2
     t1 = lam * lam * float((u * u / denom).sum()) / N
-    t2 = float((u * u * w / denom).sum()) / N
+    t2 = float((u * u * s.w / denom).sum()) / N
     return math.sqrt(max(t1, 0.0)) + math.sqrt(max(t2, 0.0))

@@ -1,6 +1,7 @@
 """Projected-feature extraction tests: widths, caching, backends."""
 
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -242,6 +243,26 @@ def test_e1_natural_order_product_state_is_analytic():
     reps6 = project_features(
         bits, EmbeddingConfig("e1", reps=6, scale=math.pi / 2), EXACT)
     assert np.abs(reps6[:, 2::3] - (1.0 - 2.0 * bits)).max() <= 1e-12
+
+
+def test_e2_natural_order_features_are_affine_in_the_bits():
+    # in natural order each feature is A·bits + b (ROADMAP item 2): least
+    # squares over 135 distinct constructs, far more rows than the rank of
+    # [1, bits], so the fit is overdetermined and a small residual is real
+    motifs = sorted(MOTIF_CATALOG, key=lambda m: int(m[1:]))
+    motif_sets = ([(m,) for m in motifs]
+                  + list(itertools.product(motifs, repeat=2))[::2]
+                  + list(itertools.product(motifs, repeat=3))[::61])
+    bits = encode_dataset([Construct(ms, 0.5) for ms in motif_sets]).bits
+    assert bits.shape == (135, 60) and len(np.unique(bits, axis=0)) == 135
+    F = project_features(
+        bits, EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0),
+        EXACT)
+    A = np.hstack([np.ones((len(bits), 1)), bits])
+    assert np.linalg.matrix_rank(A) < len(bits) // 2
+    assert (F.std(axis=0) > 1e-9).any()
+    coef = np.linalg.lstsq(A, F, rcond=None)[0]
+    assert np.abs(A @ coef - F).max() <= 1e-12
 
 
 def test_exact_features_at_60_bits_match_untruncated_obp(small_dataset):

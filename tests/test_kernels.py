@@ -1,7 +1,8 @@
 """Kernel, eigensolver, and screening-metric tests.
 
 The metric oracles below evaluate the textbook formulas with dense numpy
-inverses; the package's own Jacobi solver is checked against numpy.
+inverses; the package's own Jacobi solver is checked against numpy. The
+screen's shared-spectrum path is checked against the Gram-matrix calls.
 """
 
 import itertools
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifqk import evaluation
 from motifqk.data import Construct, encode_dataset
 from motifqk.errors import ConfigError, DataError
+from motifqk.evaluation import screen_advantage
 from motifqk.kernels import (
     KernelSpec,
     geometric_difference,
@@ -22,8 +25,11 @@ from motifqk.kernels import (
     model_complexity,
     psd_sqrt,
     resolve_gamma,
+    spectrum,
     trace_normalized,
 )
+
+README_LAMBDAS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def _random_psd(rng, n, rank=None):
@@ -31,11 +37,9 @@ def _random_psd(rng, n, rank=None):
     return b @ b.T
 
 
-def _one_hot_screen(rng):
-    """(Kc, Kq, y) shaped like the real screen: an rbf-scale Gram of the 169
-    distinct two-motif constructs, whose spectrum has only three distinct
-    eigenvalues, an rbf-scale Gram of Bloch-ball features (61 qubits), and
-    +-1 labels."""
+def _one_hot_screen_inputs(rng):
+    """(bits, features, y) shaped like the real screen: the 169 distinct
+    two-motif constructs, Bloch-ball features (61 qubits), +-1 labels."""
     motifs = [f"M{i}" for i in range(1, 14)]
     bits = encode_dataset([Construct(ms, 0.5) for ms in
                            itertools.product(motifs, repeat=2)]).bits
@@ -43,10 +47,29 @@ def _one_hot_screen(rng):
     v = rng.normal(size=(n, 61, 3))
     v *= rng.uniform(0.0, 1.0, (n, 61, 1)) / np.linalg.norm(v, axis=2,
                                                            keepdims=True)
-    spec = KernelSpec(kind="rbf", gamma="scale")
     y = np.where(rng.integers(0, 2, n) == 0, -1.0, 1.0)
-    return (kernel_matrix(bits, spec),
-            kernel_matrix(v.reshape(n, -1), spec), y)
+    return bits, v.reshape(n, -1), y
+
+
+def _one_hot_screen(rng):
+    """(Kc, Kq, y) of ``_one_hot_screen_inputs`` with rbf-scale Grams; the
+    one-hot Gram's spectrum has only three distinct eigenvalues."""
+    bits, features, y = _one_hot_screen_inputs(rng)
+    spec = KernelSpec(kind="rbf", gamma="scale")
+    return kernel_matrix(bits, spec), kernel_matrix(features, spec), y
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Spy on module functions; returns the live name -> call-count dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return counts
 
 
 def _oracle_geometric_difference(Kc, Kq, lam):
@@ -274,6 +297,76 @@ def test_model_complexity_singular_guard():
     y = np.array([1.0, -1.0, 1.0])
     with pytest.raises(DataError):
         model_complexity(K, y, 0.0)
+
+
+def test_screen_advantage_matches_the_gram_matrix_calls(rng):
+    # the shared spectra give exactly the values of one eigh per metric
+    bits, features, y = _one_hot_screen_inputs(rng)
+    spec = KernelSpec(kind="rbf", gamma="scale")
+    Kc, Kq = kernel_matrix(bits, spec), kernel_matrix(features, spec)
+    for lam in README_LAMBDAS:
+        out = screen_advantage(bits, y, features, spec, lam)
+        assert out["g_cq"] == geometric_difference(Kc, Kq, lam)
+        assert out["s_classical"] == model_complexity(Kc, y, lam)
+        assert out["s_pqk"] == model_complexity(Kq, y, lam)
+
+
+def test_screen_advantage_decomposes_each_gram_once(rng, monkeypatch):
+    bits, features, y = _one_hot_screen_inputs(rng)
+    counts = _count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    screen_advantage(bits, y, features, KernelSpec(kind="rbf"), 1.0)
+    assert counts == {"eigh": 2, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan")])
+def test_screen_advantage_rejects_bad_lam_before_any_eigh(rng, monkeypatch,
+                                                          lam):
+    bits, features, y = _one_hot_screen_inputs(rng)
+    counts = _count_calls(monkeypatch, np.linalg, "eigh")
+    with pytest.raises(ConfigError, match="lam must be finite and >= 0"):
+        screen_advantage(bits, y, features, KernelSpec(kind="rbf"), lam)
+    assert counts == {"eigh": 0}
+
+
+def test_screen_advantage_singular_pqk_gram_fails_in_s_pqk(rng, monkeypatch):
+    bits, features, y = _one_hot_screen_inputs(rng)
+    features[1] = features[0]  # a repeated row makes Kq singular
+    counts = _count_calls(monkeypatch, evaluation, "model_complexity")
+    with pytest.raises(DataError, match=r"K \+ lam\*I is singular"):
+        screen_advantage(bits, y, features, KernelSpec(kind="rbf"), 0.0)
+    assert counts == {"model_complexity": 2}  # s_classical passed
+
+
+def test_screen_advantage_rejects_indefinite_gram(rng):
+    bits, _, y = _one_hot_screen_inputs(rng)
+    spec = KernelSpec(kind="sigmoid", gamma=1.0, coef0=-1.0)
+    assert np.linalg.eigvalsh(kernel_matrix(bits, spec))[0] < -1e-8
+    with pytest.raises(DataError, match="not PSD"):
+        screen_advantage(bits, y, bits, spec, 1.0)
+
+
+def test_metrics_on_a_spectrum_raise_as_on_the_gram():
+    # every check of the Gram-matrix path, with the same type and message
+    K3 = np.eye(3)
+    singular = np.diag([3.0, 0.0, 0.0])
+    cases = [
+        (lambda K: model_complexity(K, np.ones(4), 1.0), K3, DataError),
+        (lambda K: geometric_difference(K, np.eye(4), 1.0), K3, DataError),
+        (lambda K: geometric_difference(np.eye(4), K, 1.0), K3, DataError),
+        (lambda K: model_complexity(K, np.ones(3), -1.0), K3, ConfigError),
+        (lambda K: geometric_difference(K, K3, float("nan")), K3,
+         ConfigError),
+        (lambda K: model_complexity(K, np.ones(3), 0.0), singular, DataError),
+        (lambda K: geometric_difference(K, K3, 0.0), singular, DataError),
+    ]
+    for call, K, error in cases:
+        with pytest.raises(error) as on_gram:
+            call(K)
+        with pytest.raises(error) as on_spectrum:
+            call(spectrum(K))
+        assert str(on_spectrum.value) == str(on_gram.value)
+    with pytest.raises(DataError, match="not PSD"):
+        spectrum(np.diag([1.0, -0.5]))
 
 
 def test_metric_shape_validation():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from motifqk.features import BackendConfig, EmbeddingConfig
+from motifqk.kernels import KernelSpec
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -65,3 +66,24 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
     assert exact.count("circuits.build") == 1
     assert exact.count("statevector.simulate") == 3
     assert exact.count("statevector.expectation") == 9
+
+
+def test_screen_spans_nest_under_screen_advantage(monkeypatch):
+    # the screen workload's per-layer g and s_K times come from these spans
+    spans = _load_spans(monkeypatch)
+    evaluation = importlib.import_module("motifqk.evaluation")
+    rng = np.random.default_rng(3)
+    bits = np.unique(rng.integers(0, 2, (30, 12)), axis=0)
+    y = np.where(np.arange(len(bits)) % 2 == 0, -1.0, 1.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        evaluation.screen_advantage(bits, y, rng.normal(size=(len(bits), 6)),
+                                    KernelSpec(kind="rbf"), lam=1.0)
+    finally:
+        tracer.uninstall()
+    assert [(s.name, s.parent) for s in tracer.spans] == [
+        ("evaluation.screen_advantage", -1), ("kernels.kernel_matrix", 0),
+        ("kernels.kernel_matrix", 0), ("kernels.geometric_difference", 0),
+        ("kernels.model_complexity", 0), ("kernels.model_complexity", 0)]
+    assert all(s.duration > 0 for s in tracer.spans)
