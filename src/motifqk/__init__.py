@@ -2,10 +2,10 @@
 
 from .errors import (BackendError, ConfigError, DataError, MotifqkError,
                      SolverError)
-from .data import (Construct, EncodedDataset, EncodedSample, EncodingLayout,
-                   MOTIF_CATALOG, Motif, binarize_cytotoxicity,
-                   correlation_order, decode_one_hot, encode_dataset,
-                   encode_one_hot, load_constructs)
+from .data import (Construct, EncodedDataset, EncodingLayout, MOTIF_CATALOG,
+                   Motif, binarize_cytotoxicity, correlation_order,
+                   decode_one_hot, encode_dataset, encode_one_hot,
+                   load_constructs)
 from .circuits import (Circuit, CircuitStats, Gate, build_heisenberg_embedding,
                        build_zz_feature_map, circuit_stats, simplify)
 from .statevector import bloch_vectors, pauli_expectation, simulate

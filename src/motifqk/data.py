@@ -22,8 +22,6 @@ logger = logging.getLogger(__name__)
 
 TERMINAL = "M14"
 EMPTY = "empty"
-HIGH, LOW = "high", "low"
-LABEL_VALUES = {HIGH: +1, LOW: -1}
 CYTOTOXICITY_THRESHOLD = 0.62
 ANNOTATION_AXES = ("motif", "source", "domain", "partner")
 
@@ -126,49 +124,42 @@ class EncodingLayout:
             raise DataError(f"category {category!r} not in layout") from None
 
 
-@dataclass(frozen=True)
-class EncodedSample:
-    bits: tuple[int, ...]
-    label: str
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise DataError("encoded bits must be 0/1")
-        if self.label not in LABEL_VALUES:
-            raise DataError(f"label must be one of {sorted(LABEL_VALUES)}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedDataset:
-    """Encoded samples plus the layout they were encoded with."""
+    """An encoded screen: one row of 0/1 bits per sample, +1 (high) / -1
+    (low) labels, and the layout the bits follow. Both arrays are
+    read-only."""
 
-    samples: tuple[EncodedSample, ...]
+    bits: np.ndarray
+    y: np.ndarray
     layout: EncodingLayout
 
     def __post_init__(self):
-        for s in self.samples:
-            if len(s.bits) != self.layout.n_bits:
-                raise DataError("sample width does not match layout")
+        bits, y = np.asarray(self.bits), np.asarray(self.y)
+        if bits.ndim != 2 or bits.shape[1] != self.layout.n_bits:
+            raise DataError("sample width does not match layout")
+        if y.shape != bits.shape[:1]:
+            raise DataError("need one label per sample")
+        if not np.array_equal(bits, bits != 0):  # every entry 0 or 1
+            raise DataError("encoded bits must be 0/1")
+        if not (np.abs(y) == 1).all():
+            raise DataError("labels must be -1/+1")
+        # copies, so the caller's arrays stay writable and cannot alias
+        bits, y = bits.astype(np.uint8), y.astype(np.int64)
+        bits.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def bits(self) -> np.ndarray:
-        return np.array([s.bits for s in self.samples], dtype=np.uint8)
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.array([LABEL_VALUES[s.label] for s in self.samples],
-                        dtype=np.int64)
+        return len(self.y)
 
 
 def binarize_cytotoxicity(value: float,
-                          threshold: float = CYTOTOXICITY_THRESHOLD) -> str:
-    """Map a cytotoxicity score to ``high`` (< threshold) or ``low``."""
+                          threshold: float = CYTOTOXICITY_THRESHOLD) -> int:
+    """Map a cytotoxicity score to +1 (high, < threshold) or -1 (low)."""
     if not math.isfinite(value):
         raise DataError(f"non-finite cytotoxicity {value!r}")
-    return HIGH if value < threshold else LOW
+    return 1 if value < threshold else -1
 
 
 @contextmanager
@@ -218,7 +209,8 @@ def load_constructs(path) -> list[Construct]:
 
 
 def encode_one_hot(construct: Construct,
-                   layout: EncodingLayout = EncodingLayout()) -> EncodedSample:
+                   layout: EncodingLayout = EncodingLayout()
+                   ) -> tuple[int, ...]:
     """One-hot encode a construct: motifs, then the terminal, then padding."""
     filled = list(construct.motifs) + [TERMINAL]
     if len(filled) > layout.n_positions:
@@ -230,8 +222,7 @@ def encode_one_hot(construct: Construct,
     bits = [0] * layout.n_bits
     for pos, category in enumerate(filled):
         bits[width * pos + layout.category_index(category)] = 1
-    return EncodedSample(tuple(bits),
-                         binarize_cytotoxicity(construct.cytotoxicity))
+    return tuple(bits)
 
 
 def decode_one_hot(bits, layout: EncodingLayout = EncodingLayout()
@@ -253,8 +244,14 @@ def decode_one_hot(bits, layout: EncodingLayout = EncodingLayout()
 
 def encode_dataset(constructs,
                    layout: EncodingLayout = EncodingLayout()) -> EncodedDataset:
-    samples = tuple(encode_one_hot(c, layout) for c in constructs)
-    return EncodedDataset(samples, layout)
+    """One bit row and one +1/-1 label per construct."""
+    constructs = list(constructs)
+    # one bytes buffer is a fraction of the cost of np.array over tuples
+    rows = b"".join(bytes(encode_one_hot(c, layout)) for c in constructs)
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(constructs),
+                                                      layout.n_bits)
+    y = [binarize_cytotoxicity(c.cytotoxicity) for c in constructs]
+    return EncodedDataset(bits, y, layout)
 
 
 def write_encoded_csv(path, dataset: EncodedDataset) -> None:
@@ -263,8 +260,8 @@ def write_encoded_csv(path, dataset: EncodedDataset) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"b{i}" for i in range(dataset.layout.n_bits)]
                         + ["label"])
-        for s in dataset.samples:
-            writer.writerow(list(s.bits) + [LABEL_VALUES[s.label]])
+        for row, label in zip(dataset.bits.tolist(), dataset.y.tolist()):
+            writer.writerow(row + [label])
 
 
 def load_encoded_csv(path):

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
-from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
-    parse_scale, project_features
+from .features import BackendConfig, EmbeddingConfig, check_cache_dir, \
+    check_n_jobs, parse_scale, project_features
 from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
     model_complexity, parse_gamma, spectrum
 from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
@@ -117,6 +117,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_n_jobs(self.n_jobs)
+        check_cache_dir(self.cache_dir)
         if self.feature_order not in FEATURE_ORDERS:
             raise ConfigError(
                 f"feature_order must be one of {FEATURE_ORDERS}, "
@@ -300,8 +301,8 @@ def run_experiment(dataset: EncodedDataset,
         raise DataError("experiment needs both labels present")
     plan = make_splits(N, config.n_splits, config.train_frac,
                        config.split_seed)
-    categories = [decode_one_hot(s.bits, dataset.layout)
-                  for s in dataset.samples]
+    categories = [decode_one_hot(row, dataset.layout)
+                  for row in bits.tolist()]
     features: dict[tuple[int, ...], np.ndarray] = {}
     f1 = {m: [] for m in METHODS}
     chosen = {m: [] for m in METHODS}
@@ -336,46 +337,38 @@ def run_experiment(dataset: EncodedDataset,
     )
 
 
-# every key config_from_ini reads, by section; anything else is a typo
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+def _listed(convert):
+    return lambda text: tuple(convert(tok.strip()) for tok in text.split(","))
+
+
+# every key config_from_ini reads, by section, with how its text is read;
+# anything else is a typo. Keys go by name to EmbeddingConfig,
+# BackendConfig.parse (backend.backend is its text), GridConfig and
+# ExperimentConfig (cache.dir is its cache_dir), so a key left out keeps
+# the default its config type holds
 _INI_KEYS = {
-    "dataset": ("path",),
-    "embedding": ("kind", "reps", "steps", "scale", "seed", "test_mode"),
-    "backend": ("backend", "seed"),
-    "protocol": ("n_splits", "train_frac", "split_seed", "cv_folds",
-                 "cv_seed", "feature_order", "smo_tol", "smo_max_passes"),
-    "grid": ("preset", "kernels", "c_values", "gamma_values", "degree",
-             "coef0"),
-    "cache": ("dir", "n_jobs"),
+    "dataset": {"path": str},
+    "embedding": {"kind": str, "reps": int, "steps": int,
+                  "scale": parse_scale, "seed": int, "test_mode": _boolean},
+    "backend": {"backend": str, "seed": int},
+    "protocol": {"n_splits": int, "train_frac": float, "split_seed": int,
+                 "cv_folds": int, "cv_seed": int, "feature_order": str,
+                 "smo_tol": float, "smo_max_passes": int},
+    "grid": {"kernels": _listed(str), "c_values": _listed(float),
+             "gamma_values": _listed(parse_gamma), "degree": int,
+             "coef0": float},
+    "cache": {"dir": str, "n_jobs": int},
 }
-
-
-def _require(section, key: str, where: str) -> str:
-    if key not in section:
-        raise ConfigError(f"config is missing {where}.{key}")
-    return section[key]
-
-
-def _parse_grid(section) -> GridConfig:
-    degree = section.getint("degree", 3)
-    coef0 = section.getfloat("coef0", 0.0)
-    axes = [f"grid.{key}" for key in ("kernels", "c_values", "gamma_values")
-            if key in section]
-    if "preset" in section:
-        if section["preset"] != "full":
-            raise ConfigError(
-                f"grid.preset must be 'full', got {section['preset']!r}")
-        if axes:
-            raise ConfigError(
-                f"grid.preset cannot be combined with {', '.join(axes)}")
-    if not axes:
-        return GridConfig(degree=degree, coef0=coef0)
-    kernels = tuple(k.strip() for k in
-                    _require(section, "kernels", "grid").split(","))
-    c_values = tuple(float(v) for v in
-                     _require(section, "c_values", "grid").split(","))
-    gammas = tuple(parse_gamma(tok.strip()) for tok in
-                   _require(section, "gamma_values", "grid").split(","))
-    return GridConfig(kernels, c_values, gammas, degree=degree, coef0=coef0)
+_INI_REQUIRED = ("dataset.path", "embedding.kind", "backend.backend",
+                 "protocol.split_seed", "protocol.cv_seed")
+_GRID_AXES = ("grid.kernels", "grid.c_values", "grid.gamma_values")
 
 
 def config_from_ini(path) -> tuple[str, ExperimentConfig]:
@@ -385,7 +378,8 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     cv_seed always; EmbeddingConfig and BackendConfig require the e2 and
     shots seeds and reject keys their kind does not read. Unknown
     sections and keys are rejected, so a misspelt key cannot fall back to
-    its default unnoticed.
+    its default unnoticed. The grid axes come all three or not at all
+    (the full grid).
     """
     cp = configparser.ConfigParser()
     if not Path(path).exists():
@@ -395,10 +389,6 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
         for sec in ("dataset", "embedding", "backend", "protocol"):
             if sec not in cp:
                 raise ConfigError(f"config is missing the [{sec}] section")
-        if "screening" in cp:
-            raise ConfigError(
-                "the [screening] section is not read by report; run "
-                "`motifqk screen --lam <lambda>` once per lambda instead")
         for sec in cp.sections():
             if sec not in _INI_KEYS:
                 raise ConfigError(f"unknown config section [{sec}]")
@@ -407,40 +397,23 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
             if unknown:
                 raise ConfigError(
                     f"unknown config key {', '.join(unknown)}")
-        return _parse_sections(cp)
+        given = {f"{sec}.{key}" for sec in cp.sections() for key in cp[sec]}
+        axes = _GRID_AXES if given & set(_GRID_AXES) else ()
+        for where in _INI_REQUIRED + axes:
+            if where not in given:
+                raise ConfigError(f"config is missing {where}")
+        values = {sec: {key: _INI_KEYS[sec][key](text)
+                        for key, text in cp[sec].items()}
+                  for sec in cp.sections()}
+        backend, cache = values["backend"], values.get("cache", {})
+        if "dir" in cache:
+            cache["cache_dir"] = cache.pop("dir")
+        return values["dataset"]["path"], ExperimentConfig(
+            embedding=EmbeddingConfig(**values["embedding"]),
+            backend=BackendConfig.parse(backend.pop("backend"), **backend),
+            grid=GridConfig(**values.get("grid", {})),
+            **values["protocol"], **cache)
     except (ValueError, configparser.Error) as exc:
         # INI syntax (duplicate keys, bad % interpolation), or int(),
-        # float(), getint() or getboolean() on a malformed value
+        # float() or a boolean on a malformed value
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_sections(cp) -> tuple[str, ExperimentConfig]:
-    dataset_path = _require(cp["dataset"], "path", "dataset")
-    emb_sec, back_sec = cp["embedding"], cp["backend"]
-    # the config types decide which keys each kind reads and needs
-    embedding = EmbeddingConfig(
-        _require(emb_sec, "kind", "embedding"),
-        **{key: int(emb_sec[key]) for key in ("reps", "steps", "seed")
-           if key in emb_sec},
-        scale=parse_scale(emb_sec.get("scale", "pi2")),
-        test_mode=emb_sec.getboolean("test_mode", False))
-    backend = BackendConfig.parse(
-        _require(back_sec, "backend", "backend"),
-        seed=int(back_sec["seed"]) if "seed" in back_sec else None)
-    proto = cp["protocol"]
-    config = ExperimentConfig(
-        embedding=embedding,
-        backend=backend,
-        n_splits=proto.getint("n_splits", 10),
-        train_frac=proto.getfloat("train_frac", 0.7),
-        split_seed=int(_require(proto, "split_seed", "protocol")),
-        cv_folds=proto.getint("cv_folds", 10),
-        cv_seed=int(_require(proto, "cv_seed", "protocol")),
-        feature_order=proto.get("feature_order", "natural"),
-        grid=_parse_grid(cp["grid"]) if "grid" in cp else GridConfig(),
-        smo_tol=proto.getfloat("smo_tol", 1e-3),
-        smo_max_passes=proto.getint("smo_max_passes", 200),
-        cache_dir=cp["cache"].get("dir") if "cache" in cp else None,
-        n_jobs=cp["cache"].getint("n_jobs", 1) if "cache" in cp else 1,
-    )
-    return dataset_path, config

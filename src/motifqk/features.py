@@ -217,6 +217,14 @@ def check_n_jobs(n_jobs: int) -> None:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs!r}")
 
 
+def check_cache_dir(cache_dir) -> None:
+    """Feature cache directory: None (no cache) or a nonempty path; an
+    empty one would fill the working directory with cache entries."""
+    if cache_dir is not None and not str(cache_dir):
+        raise ConfigError("cache dir must not be empty (leave it out for "
+                          "no cache)")
+
+
 def _check_bits(bits) -> np.ndarray:
     X = np.asarray(bits)
     if X.ndim != 2 or X.size == 0:
@@ -291,6 +299,7 @@ def project_features(bits, embedding: EmbeddingConfig,
     are atomic so concurrent runs can share a directory.
     """
     check_n_jobs(n_jobs)
+    check_cache_dir(cache_dir)
     X = _check_bits(bits)
     n = embedding.n_qubits(X.shape[1])
     width = 3 * n
@@ -379,6 +388,9 @@ def load_feature_csv(path):
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if labels[-1] not in (-1, 1):
+                raise DataError(f"{path}:{lineno}: label must be -1/+1, "
+                                f"got {labels[-1]}")
     if not feats:
         raise DataError(f"{path}: no feature rows")
     F = np.array(feats, dtype=np.float64)

@@ -80,9 +80,16 @@ class SvmModel:
                         np.array(d["support_vectors"], dtype=np.float64),
                         float(d["bias"]))
             if (model.support_vectors.ndim != 2
-                    or len(model.dual_coef) != len(model.support_vectors)):
+                    or len(model.dual_coef) != len(model.support_vectors)
+                    or model.support_idx.shape != model.dual_coef.shape):
                 raise DataError("model needs a support-vector matrix with "
-                                "one dual coefficient per row")
+                                "one dual coefficient and index per row")
+            # json reads NaN and Infinity, which would predict one class
+            # for every row
+            if not (np.isfinite([model.C, model.gamma_value, model.bias]).all()
+                    and np.isfinite(model.dual_coef).all()
+                    and np.isfinite(model.support_vectors).all()):
+                raise DataError("model holds a non-finite number")
             return model
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DataError(

@@ -220,6 +220,71 @@ def test_evaluate_malformed_model_exits_3(tmp_path, feature_csv, damage):
     assert rc == 3
 
 
+@pytest.mark.parametrize("damage", [
+    lambda saved: {**saved, "bias": float("nan")},
+    lambda saved: {**saved, "dual_coef": [float("inf")]
+                   + saved["dual_coef"][1:]},
+    lambda saved: {**saved, "support_idx": saved["support_idx"][1:]},
+], ids=["nan-bias", "infinite-dual-coef", "short-support-idx"])
+def test_evaluate_model_with_bad_numbers_exits_3(tmp_path, feature_csv,
+                                                 damage, capsys):
+    # json reads NaN and Infinity; such a model would predict one class
+    # for every row instead of failing
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv),
+                 "--output", str(model), "--kernel", "linear",
+                 "--c", "1.0"]) == 0
+    model.write_text(json.dumps(damage(json.loads(model.read_text()))))
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model),
+               "--features", str(feature_csv)])
+    assert rc == 3
+    assert str(model) in capsys.readouterr().err
+
+
+def test_feature_labels_must_be_plus_minus_one(tmp_path, feature_csv,
+                                               capsys):
+    lines = feature_csv.read_text().splitlines()
+    relabeled = tmp_path / "relabeled.csv"
+    relabeled.write_text("".join(
+        [lines[0] + "\n"] + [line.rsplit(",", 1)[0]
+                             + (",0\n" if i % 2 else ",2\n")
+                             for i, line in enumerate(lines[1:])]))
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv),
+                 "--output", str(model), "--kernel", "linear",
+                 "--c", "1.0"]) == 0
+    capsys.readouterr()
+    for argv in (["evaluate", "--model", str(model),
+                  "--features", str(relabeled)],
+                 ["train", "--features", str(relabeled),
+                  "--output", str(tmp_path / "other.json"), "--c", "1.0"]):
+        assert main(argv) == 3
+        assert f"{relabeled}:2: label must be -1/+1" in capsys.readouterr().err
+    assert not (tmp_path / "other.json").exists()
+
+
+def test_empty_cache_dir_exits_2(tmp_path, encoded_csv, raw_csv,
+                                 monkeypatch):
+    # an empty cache dir names the working directory; refuse it rather
+    # than fill it with cache entries
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    rc = main(["embed", "--input", str(encoded_csv),
+               "--output", str(tmp_path / "f.csv"),
+               "--embedding", "e1", "--reps", "6", "--scale", "pi2",
+               "--backend", "obp:0.05", "--seed", "0", "--cache", ""])
+    assert rc == 2
+    ini = _report_ini(tmp_path, raw_csv)
+    ini.write_text(ini.read_text() + "[cache]\ndir =\n")
+    rc = main(["report", "--config", str(ini),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert list(workdir.iterdir()) == []
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_non_utf8_input_exits_3(tmp_path, capsys):
     # one command per CSV reader: constructs, features, encoded bits
     bad = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from motifqk.data import (
     MOTIF_CATALOG,
     TERMINAL,
     Construct,
+    EncodedDataset,
     EncodingLayout,
     annotate_category,
     binarize_cytotoxicity,
@@ -61,31 +62,36 @@ def test_annotate_category_axes():
 
 
 def test_binarize_threshold_boundary():
-    assert binarize_cytotoxicity(0.0) == "high"
-    assert binarize_cytotoxicity(CYTOTOXICITY_THRESHOLD - 1e-9) == "high"
-    assert binarize_cytotoxicity(CYTOTOXICITY_THRESHOLD) == "low"
-    assert binarize_cytotoxicity(1.0) == "low"
+    # +1 is high (below the threshold), -1 low
+    assert binarize_cytotoxicity(0.0) == 1
+    assert binarize_cytotoxicity(CYTOTOXICITY_THRESHOLD - 1e-9) == 1
+    assert binarize_cytotoxicity(CYTOTOXICITY_THRESHOLD) == -1
+    assert binarize_cytotoxicity(1.0) == -1
     with pytest.raises(DataError):
         binarize_cytotoxicity(float("nan"))
 
 
 def test_encode_single_motif_bits():
-    sample = encode_one_hot(Construct(motifs=("M1",), cytotoxicity=0.3))
-    assert len(sample.bits) == 60
-    assert sorted(np.nonzero(sample.bits)[0]) == [0, 28, 44, 59]
-    assert sample.label == "high"
+    construct = Construct(motifs=("M1",), cytotoxicity=0.3)
+    bits = encode_one_hot(construct)
+    assert len(bits) == 60
+    assert sorted(np.nonzero(bits)[0]) == [0, 28, 44, 59]
+    dataset = encode_dataset([construct])
+    assert dataset.bits.tolist() == [list(bits)]
+    assert dataset.y.tolist() == [1]
 
 
 def test_encode_three_motif_bits():
-    sample = encode_one_hot(Construct(motifs=("M2", "M5", "M9"), cytotoxicity=0.9))
-    assert sorted(np.nonzero(sample.bits)[0]) == [1, 19, 38, 58]
-    assert sample.label == "low"
+    construct = Construct(motifs=("M2", "M5", "M9"), cytotoxicity=0.9)
+    bits = encode_one_hot(construct)
+    assert sorted(np.nonzero(bits)[0]) == [1, 19, 38, 58]
+    assert encode_dataset([construct]).y.tolist() == [-1]
 
 
 def test_decode_round_trip():
     construct = Construct(motifs=("M3", "M7"), cytotoxicity=0.5)
-    sample = encode_one_hot(construct)
-    assert decode_one_hot(sample.bits) == ("M3", "M7", TERMINAL, EMPTY)
+    bits = encode_one_hot(construct)
+    assert decode_one_hot(bits) == ("M3", "M7", TERMINAL, EMPTY)
 
 
 def test_decode_rejects_non_one_hot():
@@ -138,9 +144,9 @@ def test_encode_rejects_overfull_layout():
 @settings(max_examples=60, deadline=None)
 def test_encode_popcount_and_round_trip(motifs, cyto):
     construct = Construct(motifs=tuple(motifs), cytotoxicity=cyto)
-    sample = encode_one_hot(construct)
-    assert sum(sample.bits) == 4
-    decoded = decode_one_hot(sample.bits)
+    bits = encode_one_hot(construct)
+    assert sum(bits) == 4
+    decoded = decode_one_hot(bits)
     assert decoded[:len(motifs)] == tuple(motifs)
     assert decoded[len(motifs)] == TERMINAL
     assert all(c == EMPTY for c in decoded[len(motifs) + 1:])
@@ -187,6 +193,22 @@ def test_dataset_matrix_shape(small_dataset):
     assert small_dataset.bits.shape == (10, 60)
     assert set(np.unique(small_dataset.y)) <= {-1, 1}
     assert small_dataset.bits.sum(axis=1).tolist() == [4] * 10
+
+
+def test_encoded_dataset_checks_and_is_read_only(small_dataset):
+    layout = small_dataset.layout
+    bits, y = small_dataset.bits, small_dataset.y
+    for bad_bits, bad_y in ((bits[:, 1:], y), (bits, y[1:]),
+                            (bits * 2, y), (bits, y * 0)):
+        with pytest.raises(DataError):
+            EncodedDataset(bad_bits, bad_y, layout)
+    for arr in (bits, y):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    # the dataset owns its arrays: the caller's stay writable
+    source = bits.copy()
+    EncodedDataset(source, y, layout)
+    source[0, 0] ^= 1
 
 
 def test_matthews_validation():

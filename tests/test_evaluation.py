@@ -253,7 +253,6 @@ def _write_ini(path, **overrides):
     cp["backend"] = {"backend": "exact"}
     cp["protocol"] = {"n_splits": "3", "train_frac": "0.7", "split_seed": "0",
                       "cv_folds": "2", "cv_seed": "0"}
-    cp["grid"] = {"preset": "full"}
     for section, vals in overrides.get("sections", {}).items():
         cp[section] = vals
     for section, key in overrides.get("drop", []):
@@ -276,9 +275,10 @@ def test_config_from_ini_round_trip(tmp_path):
     assert len(config.grid.c_values) == 87
 
 
-def test_config_from_ini_full_preset_reads_degree_and_coef0(tmp_path):
+def test_config_from_ini_full_grid_reads_degree_and_coef0(tmp_path):
+    # no grid axes: the full grid, with degree and coef0 still read
     path = _write_ini(tmp_path / "exp.ini", sections={
-        "grid": {"preset": "full", "degree": "5", "coef0": "2.5"}})
+        "grid": {"degree": "5", "coef0": "2.5"}})
     _, config = config_from_ini(path)
     assert (config.grid.degree, config.grid.coef0) == (5, 2.5)
     assert len(config.grid.c_values) == 87
@@ -335,10 +335,9 @@ def test_config_from_ini_missing_section(tmp_path):
 
 def test_config_from_ini_bad_scale(tmp_path):
     # malformed numbers, out-of-range grid axes, INI syntax errors, a
-    # [screening] section (which report does not read), a [grid] preset
-    # other than full or next to explicit axes, a partial axis list, and
-    # unknown keys or sections are config errors, not a traceback or a
-    # silently ignored setting
+    # [screening] section or a [grid] preset (report reads neither), a
+    # partial axis list, and unknown keys or sections are config errors,
+    # not a traceback or a silently ignored setting
     bad_inputs = [
         {"embedding": {"kind": "e1", "reps": "6", "scale": "tau"}},
         {"embedding": {"kind": "e1", "reps": "six", "scale": "pi2"}},
@@ -366,6 +365,11 @@ def test_config_from_ini_bad_scale(tmp_path):
                        "cv_seed": "0"}}, "protocol.feature_ordr"),
         ({"cache": {"directory": "cache"}}, "cache.directory"),
         ({"caches": {"dir": "cache"}}, r"\[caches\]"),
+        ({"grid": {"preset": "full"}}, "unknown config key grid.preset"),
+        ({"screening": {"lam": "1.0"}},
+         r"unknown config section \[screening\]"),
+        ({"grid": {"kernels": "rbf", "c_values": "1.0"}},
+         "config is missing grid.gamma_values"),
         # keys the chosen kind does not read
         ({"embedding": {"kind": "e1", "reps": "8", "steps": "4"}},
          "embedding kind e1 does not read steps"),
@@ -396,6 +400,42 @@ def test_config_from_ini_bad_scale(tmp_path):
     for path in paths:
         with pytest.raises(ConfigError):
             config_from_ini(path)
+
+
+def test_config_from_ini_restates_no_default(tmp_path):
+    # only the required keys: everything else is the config types' default
+    path = tmp_path / "exp.ini"
+    path.write_text("[dataset]\npath = raw.csv\n"
+                    "[embedding]\nkind = e1\nreps = 8\n"
+                    "[backend]\nbackend = exact\n"
+                    "[protocol]\nsplit_seed = 3\ncv_seed = 4\n")
+    _, config = config_from_ini(path)
+    assert config == ExperimentConfig(EmbeddingConfig("e1", reps=8),
+                                      BackendConfig("exact"),
+                                      split_seed=3, cv_seed=4)
+
+
+def test_config_from_ini_empty_cache_dir(tmp_path):
+    # an empty dir would put the cache entries in the working directory
+    path = _write_ini(tmp_path / "exp.ini", sections={"cache": {"dir": ""}})
+    with pytest.raises(ConfigError, match="cache dir"):
+        config_from_ini(path)
+    with pytest.raises(ConfigError, match="cache dir"):
+        _synthetic_config(cache_dir="")
+
+
+def test_readme_ini_block_names_every_key():
+    # the block is the INI reference: every key the reader takes appears
+    # in its section, as a key or in a comment
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### INI format", 1)[1]
+    ini = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    blocks = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", ini,
+                             re.S | re.M))
+    missing = [f"{sec}.{key}" for sec, keys in evaluation._INI_KEYS.items()
+               for key in keys
+               if not re.search(rf"\b{key}\b", blocks.get(sec, ""))]
+    assert not missing, f"README INI block does not name {missing}"
 
 
 def test_readme_production_ini_parses(tmp_path):
