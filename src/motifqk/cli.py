@@ -22,8 +22,8 @@ from .kernels import KERNEL_KINDS, KernelSpec, check_lam, parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
 from .evaluation import (FEATURE_ORDERS, METHODS, check_alpha,
-                         config_from_ini, per_motif_analysis, run_experiment,
-                         screen_advantage)
+                         config_from_ini, per_motif_analysis, report_cells,
+                         run_experiment, screen_advantage)
 
 logger = logging.getLogger(__name__)
 
@@ -156,12 +156,10 @@ def _write_report_tables(report, outdir: Path, alpha: float) -> None:
         writer = csv.writer(fh)
         writer.writerow(["axis", "position", "value", "method",
                          "correct", "incorrect"])
-        for axis in sorted(report.counts):
-            for pos in sorted(report.counts[axis], key=int):
-                for value in sorted(report.counts[axis][pos]):
-                    for method in METHODS:
-                        ok, bad = report.counts[axis][pos][value][method]
-                        writer.writerow([axis, pos, value, method, ok, bad])
+        for axis, pos, value, per_method in report_cells(report.counts):
+            for method in METHODS:
+                writer.writerow([axis, pos, value, method,
+                                 *per_method[method]])
     with open(outdir / "fisher.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "position", "value", "p_value", "better",

@@ -264,33 +264,48 @@ def write_encoded_csv(path, dataset: EncodedDataset) -> None:
             writer.writerow(row + [label])
 
 
-def load_encoded_csv(path):
-    """Read an encoded CSV back as (bits uint8 matrix, labels +1/-1)."""
+def read_labelled_csv(path, columns, cell):
+    """(rows of cells, int64 -1/+1 labels) from a CSV whose header is
+    ``columns(n)`` for its n data columns and then ``label``; ``cell``
+    reads one data cell and raises ValueError on a bad one. Every defect
+    is a ``DataError`` that names the file, and the line of a bad row."""
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[-1] != "label" or \
-                header[:-1] != [f"b{i}" for i in range(len(header) - 1)]:
-            raise DataError(f"{path}: malformed encoded-data header")
-        width = len(header) - 1
+        if not header or header[-1] != "label":
+            raise DataError(f"{path} has no label column")
+        names = header[:-1]
+        if not names or names != columns(len(names)):
+            raise DataError(f"{path}: malformed header")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: wrong column count")
             try:
-                bits = [int(v) for v in row[:width]]
-                lab = int(row[-1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer cell") from None
-            if any(b not in (0, 1) for b in bits) or lab not in (-1, 1):
-                raise DataError(f"{path}:{lineno}: bits must be 0/1 and "
-                                "label -1/+1")
-            rows.append(bits)
-            labels.append(lab)
+                rows.append([cell(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if labels[-1] not in (-1, 1):
+                raise DataError(f"{path}:{lineno}: label must be -1/+1, "
+                                f"got {labels[-1]}")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return (np.array(rows, dtype=np.uint8),
-            np.array(labels, dtype=np.int64))
+    return rows, np.array(labels, dtype=np.int64)
+
+
+def _bit(text: str) -> int:
+    bit = int(text)
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0/1, got {bit}")
+    return bit
+
+
+def load_encoded_csv(path):
+    """Read an encoded CSV back as (bits uint8 matrix, labels +1/-1)."""
+    rows, labels = read_labelled_csv(
+        path, lambda n: [f"b{i}" for i in range(n)], _bit)
+    return np.array(rows, dtype=np.uint8), labels
 
 
 def correlation_order(bits) -> list[int]:

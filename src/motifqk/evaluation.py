@@ -13,7 +13,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from math import comb
 from pathlib import Path
 
@@ -30,6 +30,9 @@ from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
 
 METHODS = ("original", "pqk")
 FEATURE_ORDERS = ("natural", "correlation")
+# where feature rows are cached and how many processes compute them: they
+# cannot change a result, so they stay out of the report's config
+DEPLOYMENT_FIELDS = ("cache_dir", "n_jobs")
 
 
 @dataclass(frozen=True)
@@ -124,23 +127,17 @@ class ExperimentConfig:
                 f"got {self.feature_order!r}")
 
     def provenance(self) -> dict:
-        return {
-            "embedding": self.embedding.descriptor(),
-            "backend": self.backend.descriptor(),
-            "n_splits": self.n_splits,
-            "train_frac": self.train_frac,
-            "split_seed": self.split_seed,
-            "cv_folds": self.cv_folds,
-            "cv_seed": self.cv_seed,
-            "feature_order": self.feature_order,
-            "grid": {"kernels": list(self.grid.kernels),
-                     "c_values": list(self.grid.c_values),
-                     "gamma_values": list(self.grid.gamma_values),
-                     "degree": self.grid.degree,
-                     "coef0": self.grid.coef0},
-            "smo_tol": self.smo_tol,
-            "smo_max_passes": self.smo_max_passes,
-        }
+        """Every field but the deployment ones, JSON-ready: the embedding
+        and backend as their descriptors, the grid's tuples as lists. A
+        field added later reaches ``config_hash`` unless it is named in
+        ``DEPLOYMENT_FIELDS``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in DEPLOYMENT_FIELDS}
+        out["embedding"] = self.embedding.descriptor()
+        out["backend"] = self.backend.descriptor()
+        out["grid"] = {key: list(v) if isinstance(v, tuple) else v
+                       for key, v in vars(self.grid).items()}
+        return out
 
 
 @dataclass
@@ -174,23 +171,30 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def report_cells(table: dict):
+    """Yield (axis, position, value, entry) for every cell of a counts or
+    Fisher table, in report order: axis, then position as an int, then
+    value."""
+    for axis in sorted(table):
+        for pos in sorted(table[axis], key=int):
+            for value in sorted(table[axis][pos]):
+                yield axis, int(pos), value, table[axis][pos][value]
+
+
 def fisher_from_counts(counts: dict) -> dict:
     """Per-(axis, position, value) Fisher p comparing the two methods'
     correct/incorrect counts, plus which method looked better."""
     out: dict = {}
-    for axis, positions in counts.items():
-        out[axis] = {}
-        for pos, values in positions.items():
-            out[axis][pos] = {}
-            for value, per_method in values.items():
-                cp, ip = per_method["pqk"]
-                co, io = per_method["original"]
-                p = fisher_exact(((cp, ip), (co, io)))
-                acc_p = cp / (cp + ip) if cp + ip else 0.0
-                acc_o = co / (co + io) if co + io else 0.0
-                better = ("pqk" if acc_p > acc_o
-                          else "original" if acc_o > acc_p else "tie")
-                out[axis][pos][value] = {"p_value": p, "better": better}
+    for axis, pos, value, per_method in report_cells(counts):
+        cp, ip = per_method["pqk"]
+        co, io = per_method["original"]
+        p = fisher_exact(((cp, ip), (co, io)))
+        acc_p = cp / (cp + ip) if cp + ip else 0.0
+        acc_o = co / (co + io) if co + io else 0.0
+        better = ("pqk" if acc_p > acc_o
+                  else "original" if acc_o > acc_p else "tie")
+        out.setdefault(axis, {}).setdefault(str(pos), {})[value] = {
+            "p_value": p, "better": better}
     return out
 
 
@@ -201,18 +205,12 @@ def check_alpha(alpha: float) -> None:
 
 
 def per_motif_analysis(report: EvalReport, alpha: float = 0.01) -> list[dict]:
-    """Flat significance table from a report, sorted for stable output."""
+    """Flat significance table from a report, in report order."""
     check_alpha(alpha)
-    rows = []
-    for axis in sorted(report.fisher):
-        for pos in sorted(report.fisher[axis], key=int):
-            for value in sorted(report.fisher[axis][pos]):
-                cell = report.fisher[axis][pos][value]
-                rows.append({"axis": axis, "position": int(pos),
-                             "value": value, "p_value": cell["p_value"],
-                             "better": cell["better"],
-                             "significant": cell["p_value"] < alpha})
-    return rows
+    return [{"axis": axis, "position": pos, "value": value,
+             "p_value": cell["p_value"], "better": cell["better"],
+             "significant": cell["p_value"] < alpha}
+            for axis, pos, value, cell in report_cells(report.fisher)]
 
 
 def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
@@ -249,8 +247,7 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
         verdict = ("geometries differ but the labels look easy for both "
                    "kernels")
     return {"n": int(Xc.shape[0]), "lam": float(lam),
-            "kernel": {"kind": spec.kind, "gamma": spec.gamma,
-                       "degree": spec.degree, "coef0": spec.coef0},
+            "kernel": asdict(spec),
             "g_cq": float(g), "sqrt_n": root_n,
             "s_classical": float(s_c), "s_pqk": float(s_q),
             "geometry_separated": bool(geometry_separated),

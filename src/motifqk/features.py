@@ -36,9 +36,10 @@ parts: untruncated E2 rows move by about 1e-32, and their cache keys
 carry a tag.
 
 Truncated backpropagation estimates each expectation with bounded error,
-which can leave a per-qubit triple slightly outside the unit Bloch ball;
-such triples are projected radially back onto the ball, which never moves
-an estimate away from the true reduced state.
+and shot sampling estimates each basis on its own; either can leave a
+per-qubit triple slightly outside the unit Bloch ball. Both backends
+project such triples radially back onto the ball, which never moves an
+estimate away from the true reduced state.
 """
 
 from __future__ import annotations
@@ -51,12 +52,13 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BackendError, ConfigError, DataError
-from .data import open_utf8
+from .data import read_labelled_csv
 from . import statevector as sv
 from .circuits import Circuit, simplify
 from .circuits import build_heisenberg_embedding, build_zz_feature_map
@@ -234,32 +236,42 @@ def _check_bits(bits) -> np.ndarray:
     return X.astype(np.float64)
 
 
+def _onto_bloch_ball(out: np.ndarray) -> None:
+    """Project every qubit's (X, Y, Z) triple of a feature row radially,
+    in place, onto the unit Bloch ball. This is the nearest point of the
+    ball, so an estimate moves no farther from the true reduced state,
+    which lies inside."""
+    vecs = out.reshape(-1, 3)
+    radii = np.sqrt((vecs ** 2).sum(axis=1))
+    off_ball = radii > 1.0
+    if off_ball.any():
+        vecs[off_ball] /= radii[off_ball, None]
+
+
 def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
                      backend: BackendConfig) -> np.ndarray:
     circuit = embedding.build(row)
     n = circuit.n_qubits
     out = np.empty(3 * n, dtype=np.float64)
     if backend.kind == "obp":
-        # the simplified circuit gives the same bits (module docstring)
+        # the simplified circuit gives the same bits (module docstring);
+        # truncation can push a triple off the Bloch ball
         out[:] = obp_expectations(backpropagate_observable(
             simplify(circuit), ObservableSum.single_qubit_stack(n),
             backend.threshold))
-        # truncation can push a triple off the Bloch ball; the true
-        # value lies inside, so radial projection only shrinks error
-        vecs = out.reshape(n, 3)
-        radii = np.sqrt((vecs ** 2).sum(axis=1))
-        off_ball = radii > 1.0
-        if off_ball.any():
-            vecs[off_ball] /= radii[off_ball, None]
+        _onto_bloch_ball(out)
         return out
     out[:] = sv.bloch_vectors(circuit).reshape(-1)
     if backend.kind == "shots":
+        # each basis is sampled on its own, so a triple of estimates can
+        # leave the ball even though each lies in [-1, 1]
         bits_key = "".join(str(int(b)) for b in row)
         for q in range(n):
             for k, b in enumerate(BASES):
                 out[3 * q + k] = sv.binomial_estimate(
                     out[3 * q + k], backend.shots,
                     _shot_seed(backend.seed, bits_key, q, b))
+        _onto_bloch_ball(out)
         return out
     radii_sq = (out.reshape(n, 3) ** 2).sum(axis=1)
     if radii_sq.max() > 1.0 + BLOCH_TOL:
@@ -276,17 +288,16 @@ def _cache_path(cache_dir: Path, bits_key: str, embedding: EmbeddingConfig,
         # rows read per cluster differ from the old whole-register
         # readout in the last bits; keep the two apart
         text += "|readout=cluster"
+        if backend.kind == "shots":
+            # rows cached before shots rows were projected onto the Bloch
+            # ball may lie outside it
+            text += "|bloch=projected"
     elif backend.threshold == 0.0:
         # untruncated, the simplified circuit's rows differ from the built
         # circuit's in the last bits (module docstring); truncated do not
         text += "|circuit=simplified"
     key = hashlib.sha256(text.encode()).hexdigest()
     return cache_dir / key[:2] / f"{key}.npy"
-
-
-def _worker(args):
-    row, embedding, backend = args
-    return _sample_features(row, embedding, backend)
 
 
 def project_features(bits, embedding: EmbeddingConfig,
@@ -323,9 +334,8 @@ def project_features(bits, embedding: EmbeddingConfig,
         todo.append(i)
     if todo and n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = pool.map(_worker,
-                            [(X[i], embedding, backend) for i in todo],
-                            chunksize=8)
+            rows = pool.map(_sample_features, X[todo], repeat(embedding),
+                            repeat(backend), chunksize=8)
             for i, row_out in zip(todo, rows):
                 out[i] = row_out
     else:
@@ -369,31 +379,10 @@ def load_feature_csv(path):
     """Read a feature CSV written by ``write_feature_csv``; returns
     (features, labels). A file without the trailing label column is a
     ``DataError``."""
-    with open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty feature file")
-        if header[-1:] != ["label"]:
-            raise DataError(f"{path} has no label column")
-        cols = header[:-1]
-        if not cols or len(cols) % 3 or cols != feature_names(len(cols) // 3):
-            raise DataError(f"{path}: malformed feature header")
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: wrong column count")
-            try:
-                feats.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if labels[-1] not in (-1, 1):
-                raise DataError(f"{path}:{lineno}: label must be -1/+1, "
-                                f"got {labels[-1]}")
-    if not feats:
-        raise DataError(f"{path}: no feature rows")
-    F = np.array(feats, dtype=np.float64)
+    # n columns carry the names of n // 3 qubits only when 3 divides n
+    rows, labels = read_labelled_csv(
+        path, lambda n: feature_names(n // 3), float)
+    F = np.array(rows, dtype=np.float64)
     if not np.isfinite(F).all():
         raise DataError(f"{path}: non-finite feature values")
-    return F, np.array(labels, dtype=np.int64)
+    return F, labels

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,10 +51,7 @@ class SvmModel:
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
-            "kernel": {"kind": self.spec.kind,
-                       "gamma": self.spec.gamma,
-                       "degree": self.spec.degree,
-                       "coef0": self.spec.coef0},
+            "kernel": asdict(self.spec),
             "C": self.C,
             "gamma_value": self.gamma_value,
             "bias": self.bias,
@@ -74,11 +71,13 @@ class SvmModel:
             # older model files also carry "lam" and "train_hash"
             # entries, which are ignored
             spec = KernelSpec(k["kind"], k["gamma"], k["degree"], k["coef0"])
+            sv = np.array(d["support_vectors"], dtype=np.float64)
+            if sv.shape == (0,):  # no support vectors: json keeps no width
+                sv = sv.reshape(0, 0)
             model = cls(spec, float(d["C"]), float(d["gamma_value"]),
                         np.array(d["support_idx"], dtype=np.int64),
                         np.array(d["dual_coef"], dtype=np.float64),
-                        np.array(d["support_vectors"], dtype=np.float64),
-                        float(d["bias"]))
+                        sv, float(d["bias"]))
             if (model.support_vectors.ndim != 2
                     or len(model.dual_coef) != len(model.support_vectors)
                     or model.support_idx.shape != model.dual_coef.shape):
@@ -248,7 +247,10 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
 
 def decision_function(model: SvmModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.support_vectors.shape[1]:
+    # without support vectors a model reads no feature (and its saved file
+    # keeps no width): it is the sign of its bias
+    if X.ndim != 2 or (len(model.support_idx)
+                       and X.shape[1] != model.support_vectors.shape[1]):
         raise DataError("feature width does not match the trained model")
     if len(model.support_idx) == 0:
         return np.full(X.shape[0], model.bias)

@@ -146,6 +146,13 @@ def test_criterion_03_bloch_vectors_valid():
         check(project_features(small, emb, BackendConfig(kind="exact")))
         check(project_features(small, emb,
                                BackendConfig(kind="obp", threshold=0.0)))
+
+    # shots estimate each basis on its own: unprojected, every triple of
+    # this row's 100-shot estimates leaves the ball (r^2 up to 1.026)
+    row = np.array([[int(b) for b in "10010001"]], dtype=np.uint8)
+    check(project_features(row, EmbeddingConfig(kind="e1", reps=8,
+                                                scale=math.pi / 2),
+                           BackendConfig(kind="shots", shots=100, seed=1)))
     print(f"criterion 3 PASS: {n_triples} Bloch triples, worst r^2 - 1 = "
           f"{worst:.2e} <= 1e-9")
 

@@ -12,6 +12,8 @@ from motifqk import features
 from motifqk.cli import build_parser, main
 from motifqk.data import load_encoded_csv
 from motifqk.features import load_feature_csv
+from motifqk.kernels import KernelSpec
+from motifqk.svm import SvmModel, predict, smo_train
 
 
 @pytest.fixture
@@ -154,6 +156,29 @@ def test_train_evaluate_round_trip(tmp_path, feature_csv):
     assert 0.0 <= data["weighted_f1"] <= 1.0
     assert data["n"] == 10
     assert 0.0 <= data["accuracy"] <= 1.0
+
+
+def test_model_without_support_vectors_round_trips(tmp_path, feature_csv):
+    # --max-passes 0 stops before the first pair update: every alpha is 0,
+    # so the saved model holds "support_vectors": [] and predicts the sign
+    # of its bias
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv),
+                 "--output", str(model), "--kernel", "rbf", "--c", "1.0",
+                 "--max-passes", "0"]) == 0
+    assert json.loads(model.read_text())["support_vectors"] == []
+    metrics = tmp_path / "metrics.json"
+    assert main(["evaluate", "--model", str(model),
+                 "--features", str(feature_csv),
+                 "--output", str(metrics)]) == 0
+    F, y = load_feature_csv(feature_csv)
+    with pytest.warns(RuntimeWarning, match="max_passes"):
+        fitted = smo_train(F, y, KernelSpec("rbf", "scale"), 1.0,
+                           max_passes=0)
+    assert np.array_equal(predict(SvmModel.load(model), F),
+                          predict(fitted, F))
+    expected = float((predict(fitted, F) == y).mean())
+    assert json.loads(metrics.read_text())["accuracy"] == expected
 
 
 def test_train_solver_error_exits_5(tmp_path, feature_csv, monkeypatch):

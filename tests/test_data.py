@@ -1,5 +1,6 @@
 """Encoding, label, and clustering-order tests for the data module."""
 
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from motifqk.data import (
     write_encoded_csv,
 )
 from motifqk.errors import DataError
+from motifqk.features import load_feature_csv
 
 import _correlation_reference as reference
 
@@ -187,6 +189,40 @@ def test_encoded_csv_round_trip(tmp_path, small_dataset):
     bits, y = load_encoded_csv(path)
     assert np.array_equal(bits, small_dataset.bits)
     assert np.array_equal(y, small_dataset.y)
+
+
+# (encoded CSV, feature CSV) text per malformed shape; the feature file's
+# analogue of a bit of 2 is a non-finite value
+_BAD_LABELLED = {
+    "empty file": ("", ""),
+    "no label column": ("b0,b1\n0,1\n", "q0_X,q0_Y,q0_Z\n0.5,0,1\n"),
+    "wrong names": ("b0,b2,label\n0,1,1\n",
+                    "q0_X,q0_Z,q0_Y,label\n0,0,1,1\n"),
+    "only label": ("label\n1\n-1\n", "label\n1\n-1\n"),
+    "ragged row": ("b0,b1,label\n0,1,1\n0,1\n",
+                   "q0_X,q0_Y,q0_Z,label\n0,0,1,1\n0,0,1\n"),
+    "non-numeric cell": ("b0,b1,label\n0,x,1\n",
+                         "q0_X,q0_Y,q0_Z,label\n0,x,1,1\n"),
+    "bit of 2": ("b0,b1,label\n0,2,1\n", "q0_X,q0_Y,q0_Z,label\n0,inf,1,1\n"),
+    "label of 0": ("b0,b1,label\n0,1,0\n", "q0_X,q0_Y,q0_Z,label\n0,0,1,0\n"),
+    "no rows": ("b0,b1,label\n", "q0_X,q0_Y,q0_Z,label\n"),
+    "not UTF-8": (b"b0,b1,label\n0,1,\xff\n",
+                  b"q0_X,q0_Y,q0_Z,label\n0,0,1,\xff\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LABELLED))
+@pytest.mark.parametrize("loader", [load_encoded_csv, load_feature_csv],
+                         ids=["encoded", "features"])
+def test_labelled_csv_rejections_name_the_path(tmp_path, loader, case):
+    text = _BAD_LABELLED[case][loader is load_feature_csv]
+    path = tmp_path / "bad.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        loader(path)
 
 
 def test_dataset_matrix_shape(small_dataset):

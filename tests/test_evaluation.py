@@ -488,6 +488,17 @@ def test_experiment_config_hash_changes_with_config():
         assert _config_hash(_synthetic_config(grid=other)) != a.config_hash
 
 
+def test_deployment_fields_stay_out_of_the_config_hash(tmp_path):
+    # where rows are cached and how many processes compute them cannot
+    # change a result; every other field is part of the config
+    base = _synthetic_config()
+    moved = _synthetic_config(cache_dir=str(tmp_path), n_jobs=2)
+    assert moved.provenance() == base.provenance()
+    assert _config_hash(moved) == _config_hash(base)
+    assert set(base.provenance()) == (
+        {f.name for f in dataclasses.fields(base)} - {"cache_dir", "n_jobs"})
+
+
 def test_demo_report_bytes_are_pinned():
     # the demo config (scripts/demo_synthetic.py, the benchmark's report
     # workload); a change that moves these bytes updates the pin and says why

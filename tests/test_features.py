@@ -130,14 +130,16 @@ def test_descriptors_and_cache_paths_are_pinned():
     paths = [_cache_path(Path("c"), "01" * 30, e, b).as_posix()
              for e in (e1, e2) for b in backends]
     # exact and shots keys carry the "|readout=cluster" tag, so rows of the
-    # whole-register readout (different in the last bits) are not reused
+    # whole-register readout (different in the last bits) are not reused;
+    # shots keys also carry "|bloch=projected", so rows cached before shots
+    # triples were projected onto the Bloch ball (some outside it) are not
     assert paths == [
         "c/91/9151c27b60de44594e5736a4fede100ccc676ca25fe77d24cd12dd3546e40890.npy",
         "c/fb/fb7210aa6c840d259c82aaac9d53bcd905226353ade5b65c7bcdce88304416cd.npy",
-        "c/5a/5abc641721f2effb76b710f21035934c61f5d43e1e6994884f68b22fb04ac990.npy",
+        "c/f6/f644faf896ee870cc1a52119d705bb4228b751699a32d2145172dc5199f74bd0.npy",
         "c/20/20c902d218a96c5ed1fa8625ab0199c3a93c79053ab315e262ce3f591aa6096c.npy",
         "c/90/90505198255147c6418cfacc576ce3e68b5f1275357b770e03cb5f8185844a31.npy",
-        "c/ca/ca8b1c143005bb9ca64b1e75e3b554a7c5a0d2efaf8ecbbf385bc4efe9cb2742.npy",
+        "c/62/62a31565b7910b9786b68a2d0701b1b48c74c1d17215fed0634e8e75b0b9a4f9.npy",
     ]
 
 
