@@ -4,15 +4,26 @@ The solver keeps the full gradient and always optimizes the maximal
 violating pair, stopping when the duality-gap bound m - M drops below tol;
 that guarantees the KKT conditions hold within tol for the returned bias.
 
-One pair update costs a fixed number of numpy calls on preallocated
-buffers. Which indices may move up or down is kept as two additive bias
-vectors (0 or -/+inf on the score), and only the two entries that moved
-are updated after a step. The gradient update reads rows Q[i], Q[j] in
-place of columns: ``kernel_matrix`` returns (K + K.T) / 2, which is
-symmetric bit for bit, and so is Q = K * outer(y, y), so rows and columns
-are the same numbers in contiguous memory. Every floating-point operation,
-and its order, is that of a loop that rebuilds these arrays on each step
-(kept in the tests as the reference), so fits match it bit for bit.
+One pair update costs a fixed number of numpy calls on one (3, N)
+selection array, updated in place: sel = [score | up, -(score | down),
+score], where score = -y * grad and "| up" puts -inf on an index whose
+alpha may not move up (``_may_move``). One argmax over its first two rows
+gives the pair (i, j), with m = sel[0, i], M = -sel[1, j] and Ei - Ej =
+M - m. A step adds K[i] * c_i + K[j] * c_j to every row, with c = -y *
+(alpha_new - alpha_old), read as rows of the stacked [K, -K, K]:
+``kernel_matrix`` returns (K + K.T) / 2, which is symmetric bit for bit,
+so rows and columns are the same numbers in contiguous memory. When a
+moved alpha changes the ways it may move, its first two entries are
+restored from the score row, which also keeps the score of an alpha that
+may move neither way (possible only for C <= 2e-12).
+
+Every product with +/-1 is exact and rounding is symmetric, so the score
+row equals -y * grad of a loop that keeps grad and adds the columns of
+Q = K * outer(y, y) times the alpha steps (kept in the tests as the
+reference), and each open entry of the first two rows equals +/- that
+score, but for the sign of a zero, which no comparison sees. That loop's
+grad starts at -1 and can only reach zero as +0.0, so the finish rebuilds
+it as -y * score + 0.0, and fits match the reference bit for bit.
 
 Grid search evaluates candidates in declared order under shared stratified
 folds so results are exactly reproducible.
@@ -108,27 +119,24 @@ class SvmModel:
                 raise DataError(f"{path}: {exc}") from None
 
 
-def _may_move(y: float, a: float, C: float, eps: float):
-    """The maximal-violating-pair rule for one index, as additive biases on
-    its score: (0.0 if alpha may move up else -inf, 0.0 if it may move down
-    else +inf)."""
+def _may_move(y: float, a: float, C: float, eps: float) -> tuple[bool, bool]:
+    """The maximal-violating-pair rule for one index: whether its alpha may
+    move up and whether it may move down."""
     up = a < C - eps if y > 0 else a > eps
     down = a > eps if y > 0 else a < C - eps
-    return 0.0 if up else -math.inf, 0.0 if down else math.inf
+    return up, down
 
 
-def _violating_pair(score, up, down, buf):
-    """Maximal violating pair (i, m, j, M): i maximizes the score over the
-    indices that may move up, j minimizes it over those that may move down;
-    m - M bounds the duality gap. ``up``/``down`` are the biases of
-    ``_may_move``; ``buf`` is scratch of the score's shape."""
-    i = int(np.add(score, up, out=buf).argmax())
-    j = int(np.add(score, down, out=buf).argmin())
-    # read the scores themselves: adding the 0.0 bias turns -0.0 into +0.0,
-    # and m, M set the bias of a fit without free alphas
-    m = score.item(i) if up[i] == 0.0 else -math.inf
-    M = score.item(j) if down[j] == 0.0 else math.inf
-    return i, m, j, M
+def _violating_pair(score, up, down):
+    """Bounds (m, M) of the maximal violating pair: m is the first maximal
+    score over the indices that may move up, M the first minimal one over
+    those that may move down; m - M bounds the duality gap. Read from the
+    scores themselves, which keeps the sign of a zero: m and M set the bias
+    of a fit without free alphas."""
+    up_score = np.where(up, score, -math.inf)
+    down_score = np.where(down, score, math.inf)
+    return (up_score.item(int(up_score.argmax())),
+            down_score.item(int(down_score.argmin())))
 
 
 def _check_solution(alpha, yf, margins, C: float, slack: float) -> None:
@@ -178,20 +186,24 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     yf = y.astype(np.float64)
     gamma = resolve_gamma(spec, X)
     K = kernel_matrix(X, spec, gamma=gamma)
-    Q = K * np.outer(yf, yf)
     eps = 1e-12
     ys = yf.tolist()
     K_diag = K.diagonal().tolist()
     alpha = [0.0] * N
-    up, down = (np.array(b) for b in
-                zip(*(_may_move(yk, 0.0, C, eps) for yk in ys)))
-    neg_yf = -yf
-    grad = -np.ones(N)
-    score, buf, step_i, step_j = (np.empty(N) for _ in range(4))
+    moves = [_may_move(yk, 0.0, C, eps) for yk in ys]
+    up, down = (np.array(b) for b in zip(*moves))
+    # the selection array of the module docstring; score = -y * grad starts
+    # at y, since grad starts at -1
+    sel = np.stack((np.where(up, yf, -math.inf),
+                    np.where(down, -yf, -math.inf), yf))
+    pick, score = sel[:2], sel[2]
+    # rows in place of columns: K is exactly symmetric
+    rows = list(np.stack((K, -K, K), axis=1))
+    step, step_j = np.empty((3, N)), np.empty((3, N))
     reached_tol = stalled = False
     for _ in range(max_passes * N):
-        i, m, j, M = _violating_pair(np.multiply(neg_yf, grad, out=score),
-                                     up, down, buf)
+        i, j = pick.argmax(axis=1).tolist()
+        m, M = sel.item(0, i), -sel.item(1, j)
         if m - M <= tol:
             reached_tol = True
             break
@@ -199,7 +211,6 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
         if eta <= 0:
             eta = 1e-12
         yi, yj = ys[i], ys[j]
-        Ei, Ej = yi * grad.item(i), yj * grad.item(j)
         ai_old, aj_old = alpha[i], alpha[j]
         if yi != yj:
             L = max(0.0, aj_old - ai_old)
@@ -207,7 +218,7 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
         else:
             L = max(0.0, ai_old + aj_old - C)
             H = min(C, ai_old + aj_old)
-        aj = min(max(aj_old + yj * (Ei - Ej) / eta, L), H)
+        aj = min(max(aj_old + yj * (M - m) / eta, L), H)
         if abs(aj - aj_old) < 1e-15:
             warnings.warn("SMO stalled before reaching tolerance",
                           RuntimeWarning)
@@ -215,17 +226,25 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
             break
         ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        up[i], down[i] = _may_move(yi, ai, C, eps)
-        up[j], down[j] = _may_move(yj, aj, C, eps)
-        # rows in place of columns: Q is exactly symmetric
-        np.multiply(Q[i], ai - ai_old, out=step_i)
-        np.multiply(Q[j], aj - aj_old, out=step_j)
-        grad += np.add(step_i, step_j, out=step_i)
+        np.multiply(rows[i], -yi * (ai - ai_old), out=step)
+        step += np.multiply(rows[j], -yj * (aj - aj_old), out=step_j)
+        sel += step
+        for k, a in ((i, ai), (j, aj)):
+            may = _may_move(ys[k], a, C, eps)
+            if may != moves[k]:
+                moves[k] = may
+                s = score.item(k)
+                sel[0, k] = s if may[0] else -math.inf
+                sel[1, k] = -s if may[1] else -math.inf
     alpha = np.array(alpha)
-    score = neg_yf * grad
+    up, down = (np.array(b) for b in zip(*moves))
+    # the score row has lost the sign of a zero; grad never reaches -0.0
+    # (it starts at -1), so adding 0.0 rebuilds it bit for bit
+    grad = -yf * score + 0.0
+    score = -yf * grad
     converged = reached_tol
     if not (reached_tol or stalled):  # ran all max_passes * N updates
-        _, m, _, M = _violating_pair(score, up, down, buf)
+        m, M = _violating_pair(score, up, down)
         converged = m - M <= tol
         if not converged:
             warnings.warn(
@@ -235,7 +254,7 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     if free.any():
         bias = float(np.mean(score[free]))
     else:
-        _, m, _, M = _violating_pair(score, up, down, buf)
+        m, M = _violating_pair(score, up, down)
         bias = (m + M) / 2.0
     margins = yf * (K @ (alpha * yf) + bias) if reached_tol else None
     _check_solution(alpha, yf, margins, C, tol + 1e-8)

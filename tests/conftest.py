@@ -1,7 +1,9 @@
-"""Shared fixtures: a small raw construct CSV and its encoded form."""
+"""Shared fixtures: a small raw construct CSV and its encoded form; the
+Hypothesis profiles."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from motifqk.data import (
     DEFAULT_CATEGORIES,
@@ -9,6 +11,12 @@ from motifqk.data import (
     EncodingLayout,
     encode_dataset,
 )
+
+# Draws for tests that leave max_examples to the profile: 150 by default;
+# the CI workflow selects "ci" with --hypothesis-profile=ci, and a failing
+# draw there prints the blob that replays it with @reproduce_failure.
+settings.register_profile("default", max_examples=150)
+settings.register_profile("ci", max_examples=1000, print_blob=True)
 
 RAW_ROWS = [
     ("M1", "", "", 0.30),

@@ -30,6 +30,7 @@ from motifqk.svm import (
 )
 
 
+import _smo_reference
 from _qp import dual_objective, qp_oracle
 from _smo_reference import reference_smo_train
 
@@ -402,7 +403,7 @@ def _fit_record(train, X, y, spec, C, max_passes):
 # no free alpha and both extreme scores -0.0: the bias must stay -0.0
 @example(n=8, d=2, kernel="linear", C=1.0, max_passes=200, binary=True,
          scale=1.0, n_dup=1, seed=299)
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 def test_smo_matches_reference_bit_for_bit(n, d, kernel, C, max_passes,
                                            binary, scale, n_dup, seed):
     X, y = _bit_identity_problem(n, d, binary, scale, n_dup, seed)
@@ -412,19 +413,80 @@ def test_smo_matches_reference_bit_for_bit(n, d, kernel, C, max_passes,
                                                   spec, C, max_passes)))
 
 
-def test_smo_matches_reference_on_one_hot_rows_at_max_passes():
+@pytest.mark.parametrize("kernel", sorted(BIT_IDENTITY_SPECS))
+def test_smo_matches_reference_on_one_hot_rows_at_max_passes(kernel):
     # 120 rows of 4 one-hot positions x 15 categories with random labels:
-    # linear C = 2000 runs all max_passes * N pair updates
+    # linear C = 2000 runs all max_passes * N pair updates; the other
+    # kernels converge
     rng = np.random.default_rng(11)
     X = np.zeros((120, 60))
     for pos in range(4):
         X[np.arange(120), 15 * pos + rng.integers(0, 15, 120)] = 1.0
     y = np.where(rng.random(120) < 0.5, -1, 1)
-    spec = KernelSpec("linear")
+    spec = BIT_IDENTITY_SPECS[kernel]
     mine = _fit_record(smo_train, X, y, spec, 2000.0, 200)
-    assert [msg.startswith("SMO hit max_passes") for _, msg in mine[1]] \
-        == [True]
+    if kernel == "linear":
+        assert [msg.startswith("SMO hit max_passes") for _, msg in mine[1]] \
+            == [True]
     assert mine == _fit_record(reference_smo_train, X, y, spec, 2000.0, 200)
+
+
+def _reference_alphas(monkeypatch, X, y, spec, C):
+    """The reference fit's alpha at each of its pair selections, one row
+    per selection."""
+    seen = []
+    select = _smo_reference._violating_pair
+
+    def recording(score, yf, alpha, C, eps):
+        seen.append(alpha.copy())
+        return select(score, yf, alpha, C, eps)
+    monkeypatch.setattr(_smo_reference, "_violating_pair", recording)
+    reference_smo_train(X, y, spec, C)
+    return np.array(seen)
+
+
+def test_smo_matches_reference_when_an_alpha_jumps_from_zero_to_C(
+        monkeypatch):
+    # at C = 0.001 one pair step takes alpha 0 from 0 straight to C, so it
+    # may no longer move up and may now move down: both of its entries in
+    # the solver's selection array change at once. A later step moves it
+    # down off C, through the entry that was just opened.
+    X, y = _bit_identity_problem(4, 2, False, 1.0, 0, 22)
+    spec, C = KernelSpec("linear"), 0.001
+    a = _reference_alphas(monkeypatch, X, y, spec, C)[:, 0]
+    jump = int(np.flatnonzero((a[:-1] == 0.0) & (a[1:] == C))[0]) + 1
+    assert (a[jump:] < C).any()
+    assert (_fit_record(smo_train, X, y, spec, C, 200)
+            == _fit_record(reference_smo_train, X, y, spec, C, 200))
+
+
+def test_smo_matches_reference_when_a_blocked_alpha_reopens(monkeypatch):
+    # alpha 1 (label -1) starts at 0, where y * alpha may not move up, so
+    # its "up" entry in the solver's selection array is blocked from the
+    # start. A step lifts it into (0, C), which reopens that entry, and a
+    # later step lowers it again, which picks it through the reopened entry.
+    X, y = _bit_identity_problem(3, 2, False, 1.0, 0, 1)
+    spec, C = KernelSpec("linear"), 1.0
+    a = _reference_alphas(monkeypatch, X, y, spec, C)[:, 1]
+    assert y[1] == -1 and a[0] == 0.0
+    lift = int(np.flatnonzero((a > 0.0) & (a < C))[0])
+    assert (np.diff(a[lift:]) < 0).any()
+    assert (_fit_record(smo_train, X, y, spec, C, 200)
+            == _fit_record(reference_smo_train, X, y, spec, C, 200))
+
+
+def test_smo_matches_reference_when_an_alpha_may_move_neither_way(
+        monkeypatch):
+    # for C <= 2 * eps (eps = 1e-12) an alpha in [C - eps, eps] may move
+    # neither up nor down; on features of size 1e5 steps are short enough
+    # to leave two alphas there, free, so their scores enter the bias
+    X, y = _bit_identity_problem(3, 2, False, 1e5, 0, 2)
+    spec, C = KernelSpec("linear"), 1.5e-12
+    a = _reference_alphas(monkeypatch, X, y, spec, C)[-1]
+    stuck = (a >= C - 1e-12) & (a <= 1e-12)
+    assert (stuck & (a > C * 1e-8) & (a < C * (1.0 - 1e-8))).sum() == 2
+    assert (_fit_record(smo_train, X, y, spec, C, 200)
+            == _fit_record(reference_smo_train, X, y, spec, C, 200))
 
 
 def test_kkt_conditions_hold(rng):
