@@ -15,7 +15,7 @@ from .features import (BackendConfig, EmbeddingConfig, feature_names,
                        load_feature_csv, project_features, write_feature_csv)
 from .kernels import (KernelSpec, Spectrum, geometric_difference,
                       jacobi_eigh, kernel_matrix, model_complexity, psd_sqrt,
-                      resolve_gamma, spectrum, trace_normalized)
+                      resolve_gamma, spectrum)
 from .svm import (GridConfig, GridSearchResult, SvmModel, grid_search,
                   predict, smo_train, stratified_folds, weighted_f1)
 from .evaluation import (EvalReport, ExperimentConfig, SplitPlan,

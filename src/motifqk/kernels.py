@@ -4,10 +4,10 @@ The geometric difference g(Kc, Kq) and model complexity s_K quantify, from
 Gram matrices alone, whether a quantum-projected kernel can separate itself
 from a classical one on the same data. Both take a Gram matrix or its
 ``spectrum``: the eigenpairs of the trace-normalized matrix from one numpy
-``eigh``. A screening call decomposes each Gram once and hands the spectrum
-to g and s_K; given the Gram matrices, they return the same bits. The cyclic
-Jacobi solver has no production caller; it stays because the benchmark's
-``kernels.jacobi_eigh`` span wraps it by name.
+``eigh``. A screening call validates and decomposes each Gram once and
+hands the spectrum to g and s_K; given the Gram matrices, they return the
+same bits. The cyclic Jacobi solver has no production caller; it stays
+because the benchmark's ``kernels.jacobi_eigh`` span wraps it by name.
 """
 
 from __future__ import annotations
@@ -117,15 +117,6 @@ def check_kernel_matrix(K) -> np.ndarray:
     return (K + K.T) / 2.0
 
 
-def trace_normalized(K: np.ndarray) -> np.ndarray:
-    """Rescale so trace(K) = N, the convention behind g and s_K values."""
-    K = check_kernel_matrix(K)
-    tr = float(np.trace(K))
-    if tr <= 0:
-        raise DataError("kernel trace must be positive to normalize")
-    return K * (K.shape[0] / tr)
-
-
 def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 60):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -182,7 +173,8 @@ def check_lam(lam: float) -> None:
 
 
 def _psd_eigh(K):
-    w, V = np.linalg.eigh(check_kernel_matrix(K))
+    """Eigenpairs of a matrix ``check_kernel_matrix`` returned, if PSD."""
+    w, V = np.linalg.eigh(K)
     if w[0] < -1e-8:
         raise DataError(f"matrix is not PSD (eigenvalue {w[0]:.3e} < -1e-8)")
     return w, V
@@ -209,16 +201,25 @@ def _checked(K):
 def spectrum(K, lam: float | None = None) -> Spectrum:
     """The one ``eigh`` of a Gram matrix that g and s_K share.
 
-    K must be square, symmetric, finite and PSD; it is trace-normalized to
-    N before the decomposition. With ``lam``, lam is checked before the
-    decomposition and K + lam I must be nonsingular. A Spectrum passes
-    through, with the ``lam`` checks applied to it.
+    K must be square, symmetric, finite and PSD; it is rescaled to trace N,
+    the convention behind g and s_K values, before the decomposition. With
+    ``lam``, lam is checked before the decomposition and K + lam I must be
+    nonsingular. A Spectrum passes through, with the ``lam`` checks
+    applied to it.
     """
-    K = _checked(K)
+    return _spectrum(_checked(K), lam)
+
+
+def _spectrum(K, lam: float | None = None) -> Spectrum:
+    """``spectrum`` of a Spectrum or of a matrix ``_checked`` returned:
+    each Gram matrix is validated once, where it comes in."""
     if lam is not None:
         check_lam(lam)
     if not isinstance(K, Spectrum):
-        K = Spectrum(*_psd_eigh(trace_normalized(K)))
+        tr = float(np.trace(K))
+        if tr <= 0:
+            raise DataError("kernel trace must be positive to normalize")
+        K = Spectrum(*_psd_eigh(K * (K.shape[0] / tr)))
     if lam is not None and K.w[0] + lam <= 1e-12:
         raise DataError("K + lam*I is singular; use a positive lam")
     return K
@@ -228,7 +229,8 @@ def psd_sqrt(K) -> np.ndarray:
     """Symmetric PSD square root of K, or of the trace-normalized matrix a
     Spectrum describes; eigenvalues below -1e-8 are rejected, small
     negative ones are clipped to zero."""
-    w, V = (K.w, K.V) if isinstance(K, Spectrum) else _psd_eigh(K)
+    w, V = (K.w, K.V) if isinstance(K, Spectrum) \
+        else _psd_eigh(check_kernel_matrix(K))
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return (root + root.T) / 2.0
 
@@ -244,9 +246,9 @@ def geometric_difference(Kc, Kq, lam: float = 0.0) -> float:
     Kc, Kq = _checked(Kc), _checked(Kq)
     if Kc.shape != Kq.shape:
         raise DataError("kernel matrices must have identical shape")
-    c = spectrum(Kc, lam)
+    c = _spectrum(Kc, lam)
     B = (c.V * (np.clip(c.w, 0.0, None) / (c.w + lam) ** 2)) @ c.V.T
-    Sq = psd_sqrt(spectrum(Kq))
+    Sq = psd_sqrt(_spectrum(Kq))
     return math.sqrt(max(float(np.linalg.eigvalsh(Sq @ B @ Sq)[-1]), 0.0))
 
 
@@ -263,7 +265,7 @@ def model_complexity(K, y, lam: float = 0.0) -> float:
     if y.shape != (K.shape[0],):
         raise DataError("label vector length must match the kernel")
     N = K.shape[0]
-    s = spectrum(K, lam)
+    s = _spectrum(K, lam)
     u = s.V.T @ y
     denom = (s.w + lam) ** 2
     t1 = lam * lam * float((u * u / denom).sum()) / N

@@ -11,6 +11,15 @@ the whole register: after ``circuits.simplify`` the qubits split into
 clusters that no CX joins, and each cluster is simulated on its own. The
 width limit, ``DEFAULT_QUBIT_CAP``, applies to the largest cluster, not to
 the qubit count, so one-hot rows at 60-61 qubits are served exactly.
+
+One-hot rows repeat the same local circuits, within a row and across rows,
+so ``bloch_vectors`` takes a memo of cluster readouts that its caller keeps
+for one call of its own (``features.project_features`` keeps one per
+block of rows) and never longer. The key is exact: it is the cluster width
+and its (kind, local operands, angle) gate tuples, which is everything
+``simulate`` reads. Equal nonzero floats have identical bits, and
+``simplify`` drops every zero angle, so 0.0 and -0.0 never meet as two
+spellings of one key.
 """
 
 from __future__ import annotations
@@ -119,13 +128,15 @@ def _clusters(circuit: Circuit) -> list[list[int]]:
     return list(groups.values())
 
 
-def bloch_vectors(circuit: Circuit) -> np.ndarray:
+def bloch_vectors(circuit: Circuit, memo: dict | None = None) -> np.ndarray:
     """Exact (X, Y, Z) of every qubit, shape (n_qubits, 3).
 
     Simulates each CX-connected cluster of the simplified circuit on its
     own; a qubit no gate touches reads (0, 0, 1). A cluster wider than
     ``DEFAULT_QUBIT_CAP`` raises ``BackendError`` before anything is
-    simulated.
+    simulated. ``memo`` maps a cluster's (width, gate tuples) to its
+    readout (module docstring); a cluster found there is not simulated
+    again. Without one, each call starts an empty memo of its own.
     """
     circuit = simplify(circuit)
     clusters = _clusters(circuit)
@@ -136,17 +147,25 @@ def bloch_vectors(circuit: Circuit) -> np.ndarray:
             f"entangled cluster (largest has {widest}); use the obp backend")
     where = {q: (k, i) for k, c in enumerate(clusters)
              for i, q in enumerate(c)}
-    gates: list[list[Gate]] = [[] for _ in clusters]
+    gates: list[list[tuple]] = [[] for _ in clusters]
     for g in circuit.gates:
         gates[where[g.qubits[0]][0]].append(
-            Gate(g.kind, tuple(where[q][1] for q in g.qubits), g.angle))
+            (g.kind, tuple(where[q][1] for q in g.qubits), g.angle))
+    if memo is None:
+        memo = {}
     out = np.zeros((circuit.n_qubits, 3))
     out[:, 2] = 1.0
     for cluster, local in zip(clusters, gates):
-        # module-level names, so a wrapper set on the module applies
-        psi = simulate(Circuit(len(cluster), tuple(local)))
-        for i, q in enumerate(cluster):
-            out[q] = [pauli_expectation(psi, i, b) for b in "XYZ"]
+        key = (len(cluster), tuple(local))
+        vecs = memo.get(key)
+        if vecs is None:
+            # module-level names, so a wrapper set on the module applies
+            psi = simulate(Circuit(len(cluster),
+                                   tuple(Gate(*g) for g in local)))
+            vecs = memo[key] = np.array(
+                [[pauli_expectation(psi, i, b) for b in "XYZ"]
+                 for i in range(len(cluster))])
+        out[cluster] = vecs
     return out
 
 

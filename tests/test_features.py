@@ -180,6 +180,67 @@ def _one_hot_rows(n, seed):
                    0.5) for _ in range(n)]).bits
 
 
+def _pinned_rows():
+    # 12 one-hot rows and the dense row, which couples up to 6 qubits
+    return np.vstack([_one_hot_rows(12, seed=7),
+                      [[int(b) for b in DENSE_ROW]]])
+
+
+def test_exact_features_at_60_bits_are_pinned():
+    # sha256 of the float64 feature bytes; any change to simplification,
+    # the cluster split, the simulator or the readout memo moves them
+    rows = _pinned_rows()
+    # E1 without the dense row: in correlation order it joins 20 qubits
+    one_hot = rows[:-1]
+    e1 = EmbeddingConfig("e1", reps=6, scale=math.pi / 2)
+    e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    shots = BackendConfig.parse("shots:100", seed=0)
+    cases = [(rows, e2, EXACT),
+             (one_hot[:, correlation_order(one_hot)], e1, EXACT),
+             (rows[-1:], e2, shots)]
+    digests = [hashlib.sha256(project_features(r, e, b).tobytes())
+               .hexdigest() for r, e, b in cases]
+    assert digests == [
+        "06bf3f94813ac6970f6df6a5eb7e065aa03620117e2cad61730bdb652fccdb9f",
+        "48677fecb302f1a83b0f13c8dc3bfca578cd4b443244e6e42ea77bcc3e82fdfb",
+        "6348e2dd84bcd044022ca480e2ffecc8922dd2e956224b2efdd4e1711f073ed0",
+    ]
+
+
+@pytest.mark.parametrize("backend", [EXACT, BackendConfig.parse(
+    "shots:100", seed=0)], ids=lambda b: b.kind)
+def test_exact_readout_simulates_each_cluster_circuit_once_per_call(
+        backend, monkeypatch):
+    rows = _pinned_rows()
+    emb = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    want = project_features(rows, emb, backend, n_jobs=1)
+    seen = []
+    simulate = features.sv.simulate
+
+    def counted(circuit):
+        seen.append(circuit)
+        return simulate(circuit)
+
+    monkeypatch.setattr(features.sv, "simulate", counted)
+    # every cluster circuit of the rows, each row read on its own
+    for row in rows:
+        features.sv.bloch_vectors(emb.build(row.astype(float)))
+    distinct = set(seen)
+    assert len(distinct) < len(seen) / 5
+    seen.clear()
+    got = project_features(rows, emb, backend, n_jobs=1)
+    assert got.tobytes() == want.tobytes()
+    assert len(seen) == len(set(seen)) and set(seen) == distinct
+    # a second call starts from nothing
+    first = list(seen)
+    seen.clear()
+    project_features(rows, emb, backend, n_jobs=1)
+    assert seen == first
+    monkeypatch.undo()
+    assert project_features(rows, emb, backend, n_jobs=2).tobytes() \
+        == want.tobytes()
+
+
 @pytest.mark.parametrize("emb", PRODUCTION_EMBEDDINGS,
                          ids=lambda e: e.descriptor())
 def test_obp_of_the_simplified_circuit_matches_the_built_one(emb):

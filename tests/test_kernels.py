@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifqk import evaluation
+from motifqk import evaluation, kernels
 from motifqk.data import Construct, encode_dataset
 from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import screen_advantage
@@ -26,7 +26,6 @@ from motifqk.kernels import (
     psd_sqrt,
     resolve_gamma,
     spectrum,
-    trace_normalized,
 )
 
 README_LAMBDAS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -167,11 +166,11 @@ def test_kernel_matrix_rejects_nonfinite():
 
 
 def test_trace_normalized():
+    # spectrum decomposes the Gram rescaled to trace N
     K = np.diag([1.0, 2.0, 3.0])
-    T = trace_normalized(K)
-    assert np.trace(T) == pytest.approx(3.0)
-    with pytest.raises(DataError):
-        trace_normalized(np.zeros((2, 2)))
+    assert spectrum(K).w.sum() == pytest.approx(3.0)
+    with pytest.raises(DataError, match="trace must be positive"):
+        spectrum(np.zeros((2, 2)))
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=2**32 - 1))
@@ -316,6 +315,19 @@ def test_screen_advantage_decomposes_each_gram_once(rng, monkeypatch):
     counts = _count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
     screen_advantage(bits, y, features, KernelSpec(kind="rbf"), 1.0)
     assert counts == {"eigh": 2, "eigvalsh": 1}
+
+
+def test_screen_advantage_checks_each_gram_once(rng, monkeypatch):
+    bits, features, y = _one_hot_screen_inputs(rng)
+    counts = _count_calls(monkeypatch, kernels, "check_kernel_matrix")
+    screen_advantage(bits, y, features, KernelSpec(kind="rbf"), 1.0)
+    assert counts == {"check_kernel_matrix": 2}
+    # the metrics on Gram matrices check each argument where it comes in
+    counts["check_kernel_matrix"] = 0
+    Kc, Kq, y = _one_hot_screen(rng)
+    geometric_difference(Kc, Kq, 1.0)
+    model_complexity(Kc, y, 1.0)
+    assert counts == {"check_kernel_matrix": 3}
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan")])

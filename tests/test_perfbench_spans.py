@@ -59,13 +59,14 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
     assert names[:obp_end] == ["features.project", "circuits.build",
                                "pauliprop.backprop"]
     assert tracer.spans[2].note["terms_out"] > 0
-    # one build per exact sample and one simulation per non-trivial
-    # cluster: [1, 0, 1] leaves three one-qubit clusters (H·RZ, H, H·RZ)
+    # one build per exact sample and one simulation per distinct
+    # non-trivial cluster: [1, 0, 1] leaves three one-qubit clusters
+    # (H·RZ, H, H·RZ), two of them distinct
     exact = names[obp_end:]
     assert exact[:2] == ["features.project", "circuits.build"]
     assert exact.count("circuits.build") == 1
-    assert exact.count("statevector.simulate") == 3
-    assert exact.count("statevector.expectation") == 9
+    assert exact.count("statevector.simulate") == 2
+    assert exact.count("statevector.expectation") == 6
 
 
 def test_screen_spans_nest_under_screen_advantage(monkeypatch):

@@ -228,6 +228,34 @@ def test_bloch_vectors_untouched_qubits_and_cluster_cap():
     assert np.allclose(got, 0.0, atol=1e-12)
 
 
+def test_bloch_vectors_memo_simulates_each_cluster_circuit_once(
+        monkeypatch):
+    # qubits 0-1 and 3-4 run the same local circuit, qubit 5 a rotation
+    # by -0.4 and qubit 6 one by 0.4: three distinct cluster circuits
+    def row(angle):
+        return Circuit(7, (Gate("H", (0,)), Gate("CX", (0, 1)),
+                           Gate("H", (3,)), Gate("CX", (3, 4)),
+                           Gate("RY", (5,), -angle), Gate("RY", (6,), angle)))
+
+    want = [bloch_vectors(row(0.4)), bloch_vectors(row(0.9))]
+    seen = []
+
+    def counted(circuit):
+        seen.append(circuit)
+        return simulate(circuit)
+
+    monkeypatch.setattr("motifqk.statevector.simulate", counted)
+    memo = {}
+    got = [bloch_vectors(row(0.4), memo), bloch_vectors(row(0.9), memo)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # the second row adds only its two new rotations
+    assert len(seen) == len(set(seen)) == 5 == len(memo)
+    # without a memo each call starts its own: the pair is simulated once
+    seen.clear()
+    bloch_vectors(row(0.4))
+    assert len(seen) == 3
+
+
 def test_simulate_qubit_cap():
     with pytest.raises(BackendError, match="obp"):
         simulate(Circuit(27, ()))
