@@ -43,7 +43,6 @@ def _add_embedding_flags(sub) -> None:
                      help="feed bit columns as-is or in clustered order")
     sub.add_argument("--seed", type=int, required=True,
                      help="seed for the e2 init layer / shot sampling")
-    sub.add_argument("--cache", default=None, help="feature cache directory")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--test-mode", action="store_true",
                      help="allow parameters outside the production settings")
@@ -65,8 +64,7 @@ def _features_from_args(args):
     backend = BackendConfig.parse(
         args.backend,
         seed=args.seed if args.backend.startswith("shots:") else None)
-    F = project_features(X, embedding, backend, cache_dir=args.cache,
-                         n_jobs=args.jobs)
+    F = project_features(X, embedding, backend, n_jobs=args.jobs)
     return X, F, y
 
 
@@ -105,6 +103,11 @@ def cmd_screen(args) -> int:
 def cmd_train(args) -> int:
     F, y = load_feature_csv(args.features)
     if args.grid:
+        # the grid sweeps kernel, C and gamma itself
+        given = [flag for flag in ("--kernel", "--c", "--gamma")
+                 if getattr(args, flag[2:]) is not None]
+        if given:
+            raise ConfigError(f"train --grid does not read {', '.join(given)}")
         grid = GridConfig(degree=args.degree, coef0=args.coef0)
         result = grid_search(F, y, grid, folds=args.folds, seed=args.cv_seed,
                              tol=args.tol, max_passes=args.max_passes)
@@ -116,7 +119,9 @@ def cmd_train(args) -> int:
     else:
         if args.c is None:
             raise ConfigError("train needs --c unless --grid is set")
-        spec = KernelSpec(args.kernel, parse_gamma(args.gamma),
+        spec = KernelSpec("rbf" if args.kernel is None else args.kernel,
+                          parse_gamma("scale" if args.gamma is None
+                                      else args.gamma),
                           args.degree, args.coef0)
         C = args.c
     model = smo_train(F, y, spec, C, tol=args.tol,
@@ -221,9 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--output", required=True, help="model JSON path")
     tr.add_argument("--grid", action="store_true",
                     help="run the full hyperparameter sweep")
-    tr.add_argument("--kernel", default="rbf", choices=KERNEL_KINDS)
-    tr.add_argument("--c", type=float, default=None)
-    tr.add_argument("--gamma", default="scale")
+    tr.add_argument("--kernel", default=None, choices=KERNEL_KINDS,
+                    help="kernel kind (default rbf; not with --grid)")
+    tr.add_argument("--c", type=float, default=None,
+                    help="SVM C (required; not with --grid)")
+    tr.add_argument("--gamma", default=None,
+                    help="kernel gamma (default scale; not with --grid)")
     tr.add_argument("--degree", type=int, default=3)
     tr.add_argument("--coef0", type=float, default=0.0)
     tr.add_argument("--folds", type=int, default=10)

@@ -22,17 +22,17 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
-from .features import BackendConfig, EmbeddingConfig, check_cache_dir, \
-    check_n_jobs, parse_scale, project_features
+from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
+    parse_scale, project_features
 from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
     model_complexity, parse_gamma, spectrum
 from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
 
 METHODS = ("original", "pqk")
 FEATURE_ORDERS = ("natural", "correlation")
-# where feature rows are cached and how many processes compute them: they
-# cannot change a result, so they stay out of the report's config
-DEPLOYMENT_FIELDS = ("cache_dir", "n_jobs")
+# how many processes compute the feature rows: it cannot change a result,
+# so it stays out of the report's config
+DEPLOYMENT_FIELDS = ("n_jobs",)
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,10 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     smo_tol: float = 1e-3
     smo_max_passes: int = 200
-    cache_dir: str | None = None
     n_jobs: int = 1
 
     def __post_init__(self):
         check_n_jobs(self.n_jobs)
-        check_cache_dir(self.cache_dir)
         if self.feature_order not in FEATURE_ORDERS:
             raise ConfigError(
                 f"feature_order must be one of {FEATURE_ORDERS}, "
@@ -227,6 +225,8 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
     y = np.asarray(y, dtype=np.float64)
     if Xc.shape[0] != Fq.shape[0] or y.shape != (Xc.shape[0],):
         raise DataError("bits, features, and labels must align")
+    if not np.isin(y, (-1, 1)).all():
+        raise DataError("labels must be -1/+1")
     Kc = kernel_matrix(Xc, spec)
     Kq = kernel_matrix(Fq, spec)
     # one eigh per Gram; Kc's ridge is checked before Kq is decomposed and
@@ -313,7 +313,7 @@ def run_experiment(dataset: EncodedDataset,
         if order not in features:
             features[order] = project_features(
                 bits[:, order], config.embedding, config.backend,
-                cache_dir=config.cache_dir, n_jobs=config.n_jobs)
+                n_jobs=config.n_jobs)
         y_te = y[list(te)]
         for method, X in zip(METHODS, (X_bits, features[order])):
             preds, chose = _run_arm(X, y, tr, te, config)
@@ -348,8 +348,8 @@ def _listed(convert):
 # every key config_from_ini reads, by section, with how its text is read;
 # anything else is a typo. Keys go by name to EmbeddingConfig,
 # BackendConfig.parse (backend.backend is its text), GridConfig and
-# ExperimentConfig (cache.dir is its cache_dir), so a key left out keeps
-# the default its config type holds
+# ExperimentConfig (protocol and cache.n_jobs, the worker processes), so a
+# key left out keeps the default its config type holds
 _INI_KEYS = {
     "dataset": {"path": str},
     "embedding": {"kind": str, "reps": int, "steps": int,
@@ -361,7 +361,7 @@ _INI_KEYS = {
     "grid": {"kernels": _listed(str), "c_values": _listed(float),
              "gamma_values": _listed(parse_gamma), "degree": int,
              "coef0": float},
-    "cache": {"dir": str, "n_jobs": int},
+    "cache": {"n_jobs": int},
 }
 _INI_REQUIRED = ("dataset.path", "embedding.kind", "backend.backend",
                  "protocol.split_seed", "protocol.cv_seed")
@@ -402,14 +402,12 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
         values = {sec: {key: _INI_KEYS[sec][key](text)
                         for key, text in cp[sec].items()}
                   for sec in cp.sections()}
-        backend, cache = values["backend"], values.get("cache", {})
-        if "dir" in cache:
-            cache["cache_dir"] = cache.pop("dir")
+        backend = values["backend"]
         return values["dataset"]["path"], ExperimentConfig(
             embedding=EmbeddingConfig(**values["embedding"]),
             backend=BackendConfig.parse(backend.pop("backend"), **backend),
             grid=GridConfig(**values.get("grid", {})),
-            **values["protocol"], **cache)
+            **values["protocol"], **values.get("cache", {}))
     except (ValueError, configparser.Error) as exc:
         # INI syntax (duplicate keys, bad % interpolation), or int(),
         # float() or a boolean on a malformed value

@@ -39,8 +39,7 @@ and an observable holding a term and its Y/Z partner on the RX pair's
 qubit would add the cos(pi/2) part to the partner. So the identity is also
 checked byte for byte on every production embedding
 (``tests/test_features.py``). At threshold 0 nothing drops the cos(pi/2)
-parts: untruncated E2 rows move by about 1e-32, and their cache keys
-carry a tag.
+parts: untruncated E2 rows move by about 1e-32.
 
 Truncated backpropagation estimates each expectation with bounded error,
 and shot sampling estimates each basis on its own; either can leave a
@@ -227,14 +226,6 @@ def check_n_jobs(n_jobs: int) -> None:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs!r}")
 
 
-def check_cache_dir(cache_dir) -> None:
-    """Feature cache directory: None (no cache) or a nonempty path; an
-    empty one would fill the working directory with cache entries."""
-    if cache_dir is not None and not str(cache_dir):
-        raise ConfigError("cache dir must not be empty (leave it out for "
-                          "no cache)")
-
-
 def _check_bits(bits) -> np.ndarray:
     X = np.asarray(bits)
     if X.ndim != 2 or X.size == 0:
@@ -297,21 +288,17 @@ def _feature_block(rows: np.ndarray, embedding: EmbeddingConfig,
     return [_sample_features(row, embedding, backend, memo) for row in rows]
 
 
+# the last field of every cache key. Keys written by older code end in a
+# descriptor or in one of the tags |readout=cluster, |bloch=projected and
+# |circuit=simplified, never in this, so their rows are not read back. A
+# change to any backend's row bits bumps this value.
+_CACHE_FORMAT = "|rows=v2"
+
+
 def _cache_path(cache_dir: Path, bits_key: str, embedding: EmbeddingConfig,
                 backend: BackendConfig) -> Path:
-    text = f"{bits_key}|{embedding.descriptor()}|{backend.descriptor()}"
-    if backend.kind != "obp":
-        # rows read per cluster differ from the old whole-register
-        # readout in the last bits; keep the two apart
-        text += "|readout=cluster"
-        if backend.kind == "shots":
-            # rows cached before shots rows were projected onto the Bloch
-            # ball may lie outside it
-            text += "|bloch=projected"
-    elif backend.threshold == 0.0:
-        # untruncated, the simplified circuit's rows differ from the built
-        # circuit's in the last bits (module docstring); truncated do not
-        text += "|circuit=simplified"
+    text = (f"{bits_key}|{embedding.descriptor()}|{backend.descriptor()}"
+            f"{_CACHE_FORMAT}")
     key = hashlib.sha256(text.encode()).hexdigest()
     return cache_dir / key[:2] / f"{key}.npy"
 
@@ -323,10 +310,16 @@ def project_features(bits, embedding: EmbeddingConfig,
 
     With ``cache_dir`` set, per-sample rows are memoized on disk keyed by
     the sample bits plus embedding and backend descriptors; cache writes
-    are atomic so concurrent runs can share a directory.
+    are atomic so concurrent runs can share a directory, and an entry that
+    does not load as a row of the right width is a ``DataError``. No
+    command or config sets ``cache_dir``; it stays because the benchmark's
+    ``embed`` workload times a cold pass into a cache and a warm read back.
     """
     check_n_jobs(n_jobs)
-    check_cache_dir(cache_dir)
+    if cache_dir is not None and not str(cache_dir):
+        # an empty path names the working directory
+        raise ConfigError("cache dir must not be empty (leave it out for "
+                          "no cache)")
     X = _check_bits(bits)
     n = embedding.n_qubits(X.shape[1])
     width = 3 * n

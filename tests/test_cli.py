@@ -127,17 +127,17 @@ def test_embed_exact_backend_one_hot_rows(tmp_path, encoded_csv):
     assert feats.shape == (10, 180)
 
 
-def test_embed_cache_reuse(tmp_path, encoded_csv, caplog):
-    cache = tmp_path / "cache"
-    args = ["embed", "--input", str(encoded_csv),
-            "--output", str(tmp_path / "f.csv"),
-            "--embedding", "e1", "--reps", "6", "--scale", "pi2",
-            "--backend", "obp:0.05", "--seed", "0", "--cache", str(cache)]
-    assert main(args) == 0
-    n_cached = len(list(cache.rglob("*.npy")))
-    assert n_cached == 10
-    assert main(args) == 0
-    assert len(list(cache.rglob("*.npy"))) == n_cached
+def test_embed_cache_flag_is_unknown(tmp_path, encoded_csv, capsys):
+    # no command caches feature rows, so --cache is a usage error
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--input", str(encoded_csv), "--output", str(out),
+              "--embedding", "e1", "--reps", "6", "--scale", "pi2",
+              "--backend", "obp:0.05", "--seed", "0",
+              "--cache", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_evaluate_round_trip(tmp_path, feature_csv):
@@ -196,7 +196,8 @@ def test_train_solver_error_exits_5(tmp_path, feature_csv, monkeypatch):
     assert not model.exists()
 
 
-def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch):
+def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch,
+                                     capsys):
     import motifqk.cli as cli_mod
     from motifqk.svm import GridConfig, grid_search
 
@@ -223,6 +224,22 @@ def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch):
                "--coef0", "1.5"])
     assert rc == 0
     assert seen["grid"] == GridConfig(degree=2, coef0=1.5)
+    # the grid sweeps kernel, C and gamma itself; a flag it would not read
+    # is refused before any search starts
+    seen.clear()
+    capsys.readouterr()
+    for flag, value in (("--kernel", "linear"), ("--c", "1.0"),
+                        ("--gamma", "1.0")):
+        rc = main(["train", "--features", str(feature_csv), "--output",
+                   str(tmp_path / "other.json"), "--grid", flag, value])
+        assert rc == 2
+        assert f"train --grid does not read {flag}" in capsys.readouterr().err
+    assert seen == {}
+    assert not (tmp_path / "other.json").exists()
+    # without --grid the kernel and gamma fall back to rbf and scale
+    assert main(["train", "--features", str(feature_csv), "--output",
+                 str(model), "--c", "1.0"]) == 0
+    assert SvmModel.load(model).spec == KernelSpec("rbf", "scale")
 
 
 @pytest.mark.parametrize("damage", [
@@ -287,27 +304,6 @@ def test_feature_labels_must_be_plus_minus_one(tmp_path, feature_csv,
         assert main(argv) == 3
         assert f"{relabeled}:2: label must be -1/+1" in capsys.readouterr().err
     assert not (tmp_path / "other.json").exists()
-
-
-def test_empty_cache_dir_exits_2(tmp_path, encoded_csv, raw_csv,
-                                 monkeypatch):
-    # an empty cache dir names the working directory; refuse it rather
-    # than fill it with cache entries
-    workdir = tmp_path / "work"
-    workdir.mkdir()
-    monkeypatch.chdir(workdir)
-    rc = main(["embed", "--input", str(encoded_csv),
-               "--output", str(tmp_path / "f.csv"),
-               "--embedding", "e1", "--reps", "6", "--scale", "pi2",
-               "--backend", "obp:0.05", "--seed", "0", "--cache", ""])
-    assert rc == 2
-    ini = _report_ini(tmp_path, raw_csv)
-    ini.write_text(ini.read_text() + "[cache]\ndir =\n")
-    rc = main(["report", "--config", str(ini),
-               "--output-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert list(workdir.iterdir()) == []
-    assert not (tmp_path / "f.csv").exists()
 
 
 def test_non_utf8_input_exits_3(tmp_path, capsys):

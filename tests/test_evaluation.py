@@ -139,6 +139,10 @@ def test_screen_advantage_shape_validation(rng):
         screen_advantage(bits, y, np.zeros((4, 3)), KernelSpec(kind="linear"))
     with pytest.raises(DataError):
         screen_advantage(bits, np.ones(4), bits, KernelSpec(kind="linear"))
+    # 0/1 labels would give s_K for another problem
+    with pytest.raises(DataError, match="labels must be -1/\\+1"):
+        screen_advantage(bits, np.array([0, 1, 1, 0, 1]), bits,
+                         KernelSpec(kind="linear"))
 
 
 def test_run_experiment_synthetic_perfect():
@@ -364,6 +368,8 @@ def test_config_from_ini_bad_scale(tmp_path):
         ({"protocol": {"feature_ordr": "correlation", "split_seed": "0",
                        "cv_seed": "0"}}, "protocol.feature_ordr"),
         ({"cache": {"directory": "cache"}}, "cache.directory"),
+        # feature rows are not cached between runs
+        ({"cache": {"dir": "cache"}}, "unknown config key cache.dir"),
         ({"caches": {"dir": "cache"}}, r"\[caches\]"),
         ({"grid": {"preset": "full"}}, "unknown config key grid.preset"),
         ({"screening": {"lam": "1.0"}},
@@ -413,15 +419,6 @@ def test_config_from_ini_restates_no_default(tmp_path):
     assert config == ExperimentConfig(EmbeddingConfig("e1", reps=8),
                                       BackendConfig("exact"),
                                       split_seed=3, cv_seed=4)
-
-
-def test_config_from_ini_empty_cache_dir(tmp_path):
-    # an empty dir would put the cache entries in the working directory
-    path = _write_ini(tmp_path / "exp.ini", sections={"cache": {"dir": ""}})
-    with pytest.raises(ConfigError, match="cache dir"):
-        config_from_ini(path)
-    with pytest.raises(ConfigError, match="cache dir"):
-        _synthetic_config(cache_dir="")
 
 
 def test_readme_ini_block_names_every_key():
@@ -488,15 +485,15 @@ def test_experiment_config_hash_changes_with_config():
         assert _config_hash(_synthetic_config(grid=other)) != a.config_hash
 
 
-def test_deployment_fields_stay_out_of_the_config_hash(tmp_path):
-    # where rows are cached and how many processes compute them cannot
-    # change a result; every other field is part of the config
+def test_deployment_fields_stay_out_of_the_config_hash():
+    # how many processes compute the rows cannot change a result; every
+    # other field is part of the config
     base = _synthetic_config()
-    moved = _synthetic_config(cache_dir=str(tmp_path), n_jobs=2)
+    moved = _synthetic_config(n_jobs=2)
     assert moved.provenance() == base.provenance()
     assert _config_hash(moved) == _config_hash(base)
     assert set(base.provenance()) == (
-        {f.name for f in dataclasses.fields(base)} - {"cache_dir", "n_jobs"})
+        {f.name for f in dataclasses.fields(base)} - {"n_jobs"})
 
 
 def test_demo_report_bytes_are_pinned():

@@ -129,30 +129,34 @@ def test_descriptors_and_cache_paths_are_pinned():
         == ["obp:0.05", "exact", "shots:100:seed=5"]
     paths = [_cache_path(Path("c"), "01" * 30, e, b).as_posix()
              for e in (e1, e2) for b in backends]
-    # exact and shots keys carry the "|readout=cluster" tag, so rows of the
-    # whole-register readout (different in the last bits) are not reused;
-    # shots keys also carry "|bloch=projected", so rows cached before shots
-    # triples were projected onto the Bloch ball (some outside it) are not
+    # every key ends in features._CACHE_FORMAT, so no entry written before
+    # the last change to a backend's row bits is read back
     assert paths == [
-        "c/91/9151c27b60de44594e5736a4fede100ccc676ca25fe77d24cd12dd3546e40890.npy",
-        "c/fb/fb7210aa6c840d259c82aaac9d53bcd905226353ade5b65c7bcdce88304416cd.npy",
-        "c/f6/f644faf896ee870cc1a52119d705bb4228b751699a32d2145172dc5199f74bd0.npy",
-        "c/20/20c902d218a96c5ed1fa8625ab0199c3a93c79053ab315e262ce3f591aa6096c.npy",
-        "c/90/90505198255147c6418cfacc576ce3e68b5f1275357b770e03cb5f8185844a31.npy",
-        "c/62/62a31565b7910b9786b68a2d0701b1b48c74c1d17215fed0634e8e75b0b9a4f9.npy",
+        "c/01/014aa040d338d4b6565a19a10397dd22053ea503468195239387db53391a5993.npy",
+        "c/be/be9430a1bca11aad8c2e2d9660a12ac50985f2138dc73e723b97a76d16a443e3.npy",
+        "c/35/35817547d6baf1cfcf7313a552778f3e1318ef1657542d872c5502a4faac3715.npy",
+        "c/d7/d7d836409d416062275169025a6f5e8764d704cb17eb5532c8b3f71c8f22765e.npy",
+        "c/e5/e58bc1a7a1c97dec61329e49f7031c7d53a8464c80d7b41cfd8744be2487500a.npy",
+        "c/48/484f44d4b37daf7cc8cfb7cb9606dba2fb2f9d5a3e76282a2e63f68bd9707bbe.npy",
     ]
 
 
-def test_untruncated_obp_cache_path_is_tagged():
-    # obp:0 rows of the simplified circuit differ from those of the built
-    # circuit in the last bits, so their keys carry a tag and the untagged
-    # key of rows from the built circuit is never read
+@pytest.mark.parametrize("text", ["exact", "shots:100", "obp:0", "obp:0.05"])
+def test_cache_keys_carry_the_format_constant(text):
+    # keys written by older code, untagged or tagged per backend, never
+    # equal a key of today's rows, so their entries are not read back
+    backend = BackendConfig.parse(
+        text, seed=5 if text.startswith("shots:") else None)
     e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
-    path = _cache_path(Path("c"), "01" * 30, e2, BackendConfig.parse("obp:0"))
-    assert path.as_posix() == ("c/df/df51af31d44bb9678d229a99b0999f7ef658"
-                               "15f3e5fea59c9ec2a2a1d00a3f5a.npy")
-    untagged = f"{'01' * 30}|{e2.descriptor()}|obp:0.0"
-    assert path.stem != hashlib.sha256(untagged.encode()).hexdigest()
+    bits_key = "01" * 30
+    base = f"{bits_key}|{e2.descriptor()}|{backend.descriptor()}"
+    stem = _cache_path(Path("c"), bits_key, e2, backend).stem
+    assert stem == hashlib.sha256(
+        (base + features._CACHE_FORMAT).encode()).hexdigest()
+    for tag in ("", "|readout=cluster", "|readout=cluster|bloch=projected",
+                "|circuit=simplified"):
+        assert not (base + tag).endswith(features._CACHE_FORMAT)
+        assert stem != hashlib.sha256((base + tag).encode()).hexdigest()
 
 
 def test_obp_features_at_60_bits_are_pinned():
@@ -447,6 +451,16 @@ def test_exact_backend_serves_one_hot_rows_at_60_bits():
     feats = project_features(bits, emb, EXACT)
     assert feats.shape == (1, 180)
     assert np.allclose(feats, project_features(bits, emb, OBP0), atol=1e-12)
+
+
+def test_empty_cache_dir_is_a_config_error(tmp_path, rng, monkeypatch):
+    # an empty path names the working directory; refuse it rather than
+    # fill it with cache entries
+    monkeypatch.chdir(tmp_path)
+    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
+    with pytest.raises(ConfigError, match="cache dir must not be empty"):
+        project_features(_bits(rng, 2, 4), emb, EXACT, cache_dir="")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip(tmp_path, rng):
