@@ -18,7 +18,8 @@ from .errors import BackendError, ConfigError, DataError, SolverError
 from . import data as dataio
 from .features import (BackendConfig, EmbeddingConfig, load_feature_csv,
                        parse_scale, project_features, write_feature_csv)
-from .kernels import KERNEL_KINDS, KernelSpec, check_lam, parse_gamma
+from .kernels import KERNEL_FIELDS, KERNEL_KINDS, KernelSpec, check_lam, \
+    parse_gamma
 from .svm import GridConfig, SvmModel, grid_search, predict, smo_train, \
     weighted_f1
 from .evaluation import (FEATURE_ORDERS, METHODS, check_alpha,
@@ -46,6 +47,34 @@ def _add_embedding_flags(sub) -> None:
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--test-mode", action="store_true",
                      help="allow parameters outside the production settings")
+
+
+def _refuse_unread(args, command: str, flags) -> None:
+    """Exit 2 naming each of ``flags`` (argparse dests, None when left out)
+    that the command line gave: ``command`` does not read them."""
+    given = ["--" + f.replace("_", "-") for f in flags
+             if getattr(args, f, None) is not None]
+    if given:
+        raise ConfigError(f"{command} does not read {', '.join(given)}")
+
+
+def _given(args, **fields) -> dict:
+    """Each field whose flag (argparse dest) the command has and was given."""
+    return {field: getattr(args, dest) for field, dest in fields.items()
+            if getattr(args, dest, None) is not None}
+
+
+def _kernel_spec(args, command: str) -> KernelSpec:
+    """KernelSpec of --kernel and of the field flags its kind reads; a
+    field flag that ``KERNEL_FIELDS`` does not list for the kind exits 2."""
+    kind = args.kernel or KernelSpec.kind
+    read = KERNEL_FIELDS[kind]
+    _refuse_unread(args, f"{command} --kernel {kind}",
+                   [f for f in ("gamma", "degree", "coef0") if f not in read])
+    fields = _given(args, **{f: f for f in read})
+    if "gamma" in fields:
+        fields["gamma"] = parse_gamma(fields["gamma"])
+    return KernelSpec(kind, **fields)
 
 
 def _features_from_args(args):
@@ -86,7 +115,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    spec = KernelSpec(args.kernel, parse_gamma(args.gamma))
+    spec = _kernel_spec(args, "screen")
     check_lam(args.lam)  # before the projection, which is the slow part
     X, F, y = _features_from_args(args)
     result = screen_advantage(X, y, F, spec, lam=args.lam)
@@ -101,29 +130,24 @@ def cmd_screen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.grid:  # the grid sweeps kernel, C and gamma itself
+        _refuse_unread(args, "train --grid", ("kernel", "c", "gamma"))
+    else:  # only the grid reads the CV flags
+        _refuse_unread(args, "train without --grid", ("folds", "cv_seed"))
+        if args.c is None:
+            raise ConfigError("train needs --c unless --grid is set")
+        spec, C = _kernel_spec(args, "train"), args.c
     F, y = load_feature_csv(args.features)
     if args.grid:
-        # the grid sweeps kernel, C and gamma itself
-        given = [flag for flag in ("--kernel", "--c", "--gamma")
-                 if getattr(args, flag[2:]) is not None]
-        if given:
-            raise ConfigError(f"train --grid does not read {', '.join(given)}")
-        grid = GridConfig(degree=args.degree, coef0=args.coef0)
-        result = grid_search(F, y, grid, folds=args.folds, seed=args.cv_seed,
-                             tol=args.tol, max_passes=args.max_passes)
+        grid = GridConfig(**_given(args, degree="degree", coef0="coef0"))
+        result = grid_search(F, y, grid, tol=args.tol,
+                             max_passes=args.max_passes,
+                             **_given(args, folds="folds", seed="cv_seed"))
         spec, C = result.best_model_inputs()
         kind, c_val, g_val = result.best
         print(f"grid best: kernel={kind} C={c_val} gamma={g_val} "
               f"(mean CV F1 {result.means[result.best_index]:.4f} over "
               f"{result.folds} folds)")
-    else:
-        if args.c is None:
-            raise ConfigError("train needs --c unless --grid is set")
-        spec = KernelSpec("rbf" if args.kernel is None else args.kernel,
-                          parse_gamma("scale" if args.gamma is None
-                                      else args.gamma),
-                          args.degree, args.coef0)
-        C = args.c
     model = smo_train(F, y, spec, C, tol=args.tol,
                       max_passes=args.max_passes)
     model.save(args.output)
@@ -215,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="geometry screening of quantum advantage")
     scr.add_argument("--input", required=True, help="encoded CSV")
     scr.add_argument("--output", default=None, help="JSON output path")
-    scr.add_argument("--kernel", default="rbf", choices=KERNEL_KINDS)
-    scr.add_argument("--gamma", default="scale")
+    scr.add_argument("--kernel", choices=KERNEL_KINDS)
+    scr.add_argument("--gamma")
     scr.add_argument("--lam", type=float, default=1.0)
     _add_embedding_flags(scr)
     scr.set_defaults(func=cmd_screen)
@@ -232,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SVM C (required; not with --grid)")
     tr.add_argument("--gamma", default=None,
                     help="kernel gamma (default scale; not with --grid)")
-    tr.add_argument("--degree", type=int, default=3)
-    tr.add_argument("--coef0", type=float, default=0.0)
-    tr.add_argument("--folds", type=int, default=10)
-    tr.add_argument("--cv-seed", type=int, default=0)
+    tr.add_argument("--degree", type=int)
+    tr.add_argument("--coef0", type=float)
+    tr.add_argument("--folds", type=int)
+    tr.add_argument("--cv-seed", type=int)
     tr.add_argument("--tol", type=float, default=1e-3)
     tr.add_argument("--max-passes", type=int, default=200)
     tr.set_defaults(func=cmd_train)

@@ -256,12 +256,18 @@ def encode_dataset(constructs,
 
 def write_encoded_csv(path, dataset: EncodedDataset) -> None:
     """Write bit columns b0..b{n-1} plus a final +1/-1 label column."""
+    write_labelled_csv(path, [f"b{i}" for i in range(dataset.layout.n_bits)],
+                       str, dataset.bits.tolist(), dataset.y.tolist())
+
+
+def write_labelled_csv(path, columns, cell, rows, labels) -> None:
+    """Write what ``read_labelled_csv`` reads: the header ``columns`` and
+    ``label``, then each row's cells as ``cell`` formats them and its label."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"b{i}" for i in range(dataset.layout.n_bits)]
-                        + ["label"])
-        for row, label in zip(dataset.bits.tolist(), dataset.y.tolist()):
-            writer.writerow(row + [label])
+        writer.writerow(list(columns) + ["label"])
+        for row, label in zip(rows, labels):
+            writer.writerow([cell(v) for v in row] + [int(label)])
 
 
 def read_labelled_csv(path, columns, cell):

@@ -39,16 +39,7 @@ DEPLOYMENT_FIELDS = ("n_jobs",)
 class SplitPlan:
     """Reusable train/test index plan; both experiment arms consume it."""
 
-    n_samples: int
-    train_frac: float
-    seed: int
     splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def to_dict(self) -> dict:
-        return {"n_samples": self.n_samples, "train_frac": self.train_frac,
-                "seed": self.seed,
-                "splits": [{"train": list(tr), "test": list(te)}
-                           for tr, te in self.splits]}
 
 
 def make_splits(n_samples: int, n_splits: int = 10, train_frac: float = 0.7,
@@ -70,7 +61,7 @@ def make_splits(n_samples: int, n_splits: int = 10, train_frac: float = 0.7,
         tr = tuple(int(i) for i in np.sort(perm[:n_train]))
         te = tuple(int(i) for i in np.sort(perm[n_train:]))
         splits.append((tr, te))
-    return SplitPlan(n_samples, train_frac, seed, tuple(splits))
+    return SplitPlan(tuple(splits))
 
 
 def fisher_exact(table) -> float:

@@ -50,7 +50,6 @@ estimate away from the true reduced state.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 import math
@@ -65,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BackendError, ConfigError, DataError
-from .data import read_labelled_csv
+from .data import read_labelled_csv, write_labelled_csv
 from . import statevector as sv
 from .circuits import Circuit, simplify
 from .circuits import build_heisenberg_embedding, build_zz_feature_map
@@ -379,11 +378,8 @@ def write_feature_csv(path, features: np.ndarray, labels) -> None:
     labels = np.asarray(labels)
     if labels.shape != (F.shape[0],):
         raise DataError("labels length must match feature rows")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(feature_names(F.shape[1] // 3) + ["label"])
-        for row, label in zip(F, labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [str(int(label))])
+    write_labelled_csv(path, feature_names(F.shape[1] // 3),
+                       "{:.17g}".format, F, labels)
 
 
 def load_feature_csv(path):

@@ -1,5 +1,8 @@
 """Classical kernels plus the geometry-based screening metrics.
 
+``KERNEL_FIELDS`` says which ``KernelSpec`` fields each kind's formula in
+``kernel_matrix`` reads; grid dedup and the CLI's flag checks use it.
+
 The geometric difference g(Kc, Kq) and model complexity s_K quantify, from
 Gram matrices alone, whether a quantum-projected kernel can separate itself
 from a classical one on the same data. Both take a Gram matrix or its
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,12 @@ def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> float:
         var = float(X.var())
         return 1.0 / (d * var) if var > 0 else 1.0
     return float(spec.gamma)
+
+
+# two specs of one kind that agree on these give the same matrix bit for bit
+KERNEL_FIELDS = {"linear": (), "poly": ("gamma", "degree", "coef0"),
+                 "rbf": ("gamma",), "sigmoid": ("gamma", "coef0")}
+KERNEL_KINDS = tuple(KERNEL_FIELDS)
 
 
 def kernel_matrix(X, spec: KernelSpec, Y=None, gamma=None) -> np.ndarray:
@@ -172,14 +179,6 @@ def check_lam(lam: float) -> None:
         raise ConfigError("lam must be finite and >= 0")
 
 
-def _psd_eigh(K):
-    """Eigenpairs of a matrix ``check_kernel_matrix`` returned, if PSD."""
-    w, V = np.linalg.eigh(K)
-    if w[0] < -1e-8:
-        raise DataError(f"matrix is not PSD (eigenvalue {w[0]:.3e} < -1e-8)")
-    return w, V
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenpairs of a trace-normalized PSD Gram matrix: ascending
@@ -194,44 +193,39 @@ class Spectrum:
         return self.V.shape
 
 
-def _checked(K):
-    return K if isinstance(K, Spectrum) else check_kernel_matrix(K)
-
-
 def spectrum(K, lam: float | None = None) -> Spectrum:
-    """The one ``eigh`` of a Gram matrix that g and s_K share.
+    """The one ``eigh`` of a Gram matrix that g, s_K and ``psd_sqrt`` share.
 
     K must be square, symmetric, finite and PSD; it is rescaled to trace N,
-    the convention behind g and s_K values, before the decomposition. With
-    ``lam``, lam is checked before the decomposition and K + lam I must be
-    nonsingular. A Spectrum passes through, with the ``lam`` checks
-    applied to it.
+    the convention behind g and s_K values, before one ``eigh``. With
+    ``lam``, lam is checked first and K + lam I must be nonsingular. A
+    Spectrum passes through, with the ``lam`` checks applied to it.
     """
-    return _spectrum(_checked(K), lam)
-
-
-def _spectrum(K, lam: float | None = None) -> Spectrum:
-    """``spectrum`` of a Spectrum or of a matrix ``_checked`` returned:
-    each Gram matrix is validated once, where it comes in."""
     if lam is not None:
         check_lam(lam)
     if not isinstance(K, Spectrum):
+        K = check_kernel_matrix(K)
         tr = float(np.trace(K))
         if tr <= 0:
             raise DataError("kernel trace must be positive to normalize")
-        K = Spectrum(*_psd_eigh(K * (K.shape[0] / tr)))
+        w, V = np.linalg.eigh(K * (K.shape[0] / tr))
+        if w[0] < -1e-8:
+            raise DataError(
+                f"matrix is not PSD (eigenvalue {w[0]:.3e} < -1e-8)")
+        K = Spectrum(w, V)
     if lam is not None and K.w[0] + lam <= 1e-12:
         raise DataError("K + lam*I is singular; use a positive lam")
     return K
 
 
 def psd_sqrt(K) -> np.ndarray:
-    """Symmetric PSD square root of K, or of the trace-normalized matrix a
-    Spectrum describes; eigenvalues below -1e-8 are rejected, small
-    negative ones are clipped to zero."""
-    w, V = (K.w, K.V) if isinstance(K, Spectrum) \
-        else _psd_eigh(check_kernel_matrix(K))
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    """Symmetric PSD square root of a Gram matrix K, or of the
+    trace-normalized matrix a Spectrum describes; the ``spectrum`` checks
+    apply, and small negative eigenvalues are clipped to zero."""
+    s = spectrum(K)
+    root = (s.V * np.sqrt(np.clip(s.w, 0.0, None))) @ s.V.T
+    if not isinstance(K, Spectrum):  # from trace N back to K's own trace
+        root *= math.sqrt(np.trace(K) / len(K))
     return (root + root.T) / 2.0
 
 
@@ -243,12 +237,11 @@ def geometric_difference(Kc, Kq, lam: float = 0.0) -> float:
     geometry; small values mean a classical model should match. Either
     argument may be a Gram matrix or its ``spectrum``.
     """
-    Kc, Kq = _checked(Kc), _checked(Kq)
-    if Kc.shape != Kq.shape:
+    c, q = spectrum(Kc, lam), spectrum(Kq)
+    if c.shape != q.shape:
         raise DataError("kernel matrices must have identical shape")
-    c = _spectrum(Kc, lam)
     B = (c.V * (np.clip(c.w, 0.0, None) / (c.w + lam) ** 2)) @ c.V.T
-    Sq = psd_sqrt(_spectrum(Kq))
+    Sq = psd_sqrt(q)
     return math.sqrt(max(float(np.linalg.eigvalsh(Sq @ B @ Sq)[-1]), 0.0))
 
 
@@ -260,12 +253,11 @@ def model_complexity(K, y, lam: float = 0.0) -> float:
     sample (no generalization); small values mean the labels are easy for
     this geometry. K may be a Gram matrix or its ``spectrum``.
     """
-    K = _checked(K)
+    s = spectrum(K, lam)
+    N = s.shape[0]
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (K.shape[0],):
+    if y.shape != (N,):
         raise DataError("label vector length must match the kernel")
-    N = K.shape[0]
-    s = _spectrum(K, lam)
     u = s.V.T @ y
     denom = (s.w + lam) ** 2
     t1 = lam * lam * float((u * u / denom).sum()) / N

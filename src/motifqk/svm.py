@@ -39,7 +39,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, SolverError
-from .kernels import KernelSpec, kernel_matrix, resolve_gamma
+from .kernels import KERNEL_FIELDS, KERNEL_KINDS, KernelSpec, kernel_matrix, \
+    resolve_gamma
 
 MODEL_FORMAT = "motifqk-svm-v1"
 
@@ -324,7 +325,7 @@ GAMMA_VALUES: tuple = tuple(
 class GridConfig:
     """Candidate axes, enumerated kernel-major, then C, then gamma."""
 
-    kernels: tuple[str, ...] = ("linear", "poly", "rbf", "sigmoid")
+    kernels: tuple[str, ...] = KERNEL_KINDS
     c_values: tuple[float, ...] = C_VALUES
     gamma_values: tuple = GAMMA_VALUES
     degree: int = 3
@@ -392,23 +393,12 @@ def stratified_folds(y, folds: int, seed: int):
     return assign, folds_eff
 
 
-def _effective_key(kind: str, C: float, g, degree: int, coef0: float):
-    # parameters the kernel actually consumes; the rest cannot change scores
-    if kind == "linear":
-        return (kind, C)
-    if kind == "rbf":
-        return (kind, C, g)
-    if kind == "poly":
-        return (kind, C, g, degree, coef0)
-    return (kind, C, g, coef0)
-
-
 def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
                 tol: float = 1e-3, max_passes: int = 200) -> GridSearchResult:
     """Cross-validated sweep; ties keep the earliest candidate in grid order.
 
-    Candidates that resolve to the same effective kernel parameters are
-    evaluated once and share their scores, which leaves per-candidate
+    Candidates that agree on C and on the ``KERNEL_FIELDS`` of their kind
+    are evaluated once and share their scores, which leaves per-candidate
     results identical to the brute-force sweep.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -419,9 +409,9 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
     cache: dict = {}
     nonconverged = 0
     for idx, (kind, C, g) in enumerate(cands):
-        key = _effective_key(kind, C, g, grid.degree, grid.coef0)
+        spec = KernelSpec(kind, g, grid.degree, grid.coef0)
+        key = (kind, C) + tuple(getattr(spec, f) for f in KERNEL_FIELDS[kind])
         if key not in cache:
-            spec = KernelSpec(kind, g, grid.degree, grid.coef0)
             scores = []
             for f in range(folds_eff):
                 tr, te = assign != f, assign == f

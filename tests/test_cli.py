@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving main() in-process."""
 
 import configparser
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -203,7 +204,7 @@ def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch,
 
     seen = {}
 
-    def spy(X, y, grid, folds, seed, tol, max_passes):
+    def spy(X, y, grid, folds=10, seed=0, tol=1e-3, max_passes=200):
         seen["grid"] = grid
         small = GridConfig(kernels=("linear",), c_values=(1.0,),
                            gamma_values=("scale",))
@@ -240,6 +241,37 @@ def test_train_grid_flag_runs_search(tmp_path, feature_csv, monkeypatch,
     assert main(["train", "--features", str(feature_csv), "--output",
                  str(model), "--c", "1.0"]) == 0
     assert SvmModel.load(model).spec == KernelSpec("rbf", "scale")
+
+
+def test_train_refuses_a_flag_its_kernel_does_not_read(tmp_path, feature_csv,
+                                                       monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("smo_train called with a refused flag")
+
+    model = tmp_path / "model.json"
+    argv = ["train", "--features", str(feature_csv), "--output", str(model),
+            "--c", "1.0"]
+    monkeypatch.setattr("motifqk.cli.smo_train", fail)
+    for flags, named in (
+            (["--degree", "7", "--coef0", "3"],
+             "train --kernel rbf does not read --degree, --coef0"),
+            (["--kernel", "linear", "--gamma", "5"],
+             "train --kernel linear does not read --gamma"),
+            (["--kernel", "sigmoid", "--degree", "2"],
+             "train --kernel sigmoid does not read --degree"),
+            # only the grid reads the CV flags
+            (["--kernel", "poly", "--folds", "3"],
+             "train without --grid does not read --folds"),
+            (["--cv-seed", "1"],
+             "train without --grid does not read --cv-seed")):
+        assert main(argv + flags) == 2
+        assert named in capsys.readouterr().err
+    assert not model.exists()
+    monkeypatch.undo()
+    # a field the kind reads reaches the model
+    assert main(argv + ["--kernel", "poly", "--degree", "2",
+                        "--coef0", "1.5"]) == 0
+    assert SvmModel.load(model).spec == KernelSpec("poly", "scale", 2, 1.5)
 
 
 @pytest.mark.parametrize("damage", [
@@ -357,7 +389,24 @@ def test_screen_writes_metrics(tmp_path, encoded_csv):
     assert data["n"] == 10
 
 
-@pytest.mark.parametrize("flag", [["--lam", "-1"], ["--gamma", "-1"]])
+def test_screen_reads_the_kernel_fields_of_its_kind(tmp_path, encoded_csv):
+    # screen has --gamma only; poly and sigmoid keep KernelSpec's degree and
+    # coef0
+    out = tmp_path / "screen.json"
+    argv = ["screen", "--input", str(encoded_csv), "--output", str(out),
+            "--embedding", "e1", "--reps", "6", "--scale", "pi2",
+            "--backend", "obp:0.05", "--seed", "0", "--lam", "1.0"]
+    for flags, spec in ((["--kernel", "poly"], KernelSpec("poly")),
+                        (["--kernel", "sigmoid", "--gamma", "0.5"],
+                         KernelSpec("sigmoid", 0.5)),
+                        ([], KernelSpec())):
+        assert main(argv + flags) == 0
+        assert json.loads(out.read_text())["kernel"] == dataclasses.asdict(
+            spec)
+
+
+@pytest.mark.parametrize("flag", [["--lam", "-1"], ["--gamma", "-1"],
+                                  ["--kernel", "linear", "--gamma", "5"]])
 def test_screen_rejects_bad_flag_before_projecting(tmp_path, encoded_csv,
                                                    monkeypatch, flag):
     calls = []

@@ -3,7 +3,6 @@
 import configparser
 import dataclasses
 import hashlib
-import json
 import math
 import re
 from pathlib import Path
@@ -17,7 +16,6 @@ from motifqk import evaluation
 from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import (
     ExperimentConfig,
-    SplitPlan,
     _config_hash,
     config_from_ini,
     fisher_exact,
@@ -49,7 +47,6 @@ def _synthetic_config(**overrides):
 
 def test_make_splits_sizes():
     plan = make_splits(246, n_splits=10, train_frac=0.7, seed=0)
-    assert plan.n_samples == 246
     assert len(plan.splits) == 10
     for train, test in plan.splits:
         assert len(train) == 172
@@ -63,7 +60,7 @@ def test_make_splits_deterministic():
     a = make_splits(50, n_splits=4, seed=7)
     b = make_splits(50, n_splits=4, seed=7)
     c = make_splits(50, n_splits=4, seed=8)
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    assert a.splits == b.splits
     assert a.splits != c.splits
 
 
@@ -453,18 +450,6 @@ def test_readme_production_ini_parses(tmp_path):
     assert config.feature_order == "natural"
     assert config.grid == GridConfig()
     assert _config_hash(config) == "6fd7a75877c211bc"
-
-
-def test_split_plan_serialization():
-    plan = make_splits(10, n_splits=2, seed=4)
-    d = plan.to_dict()
-    assert d["n_samples"] == 10
-    assert d["seed"] == 4
-    rebuilt = SplitPlan(n_samples=d["n_samples"], train_frac=d["train_frac"],
-                        seed=d["seed"],
-                        splits=tuple((tuple(s["train"]), tuple(s["test"]))
-                                     for s in d["splits"]))
-    assert rebuilt == plan
 
 
 def test_experiment_config_rejects_nonpositive_n_jobs():

@@ -5,6 +5,7 @@ inverses; the package's own Jacobi solver is checked against numpy. The
 screen's shared-spectrum path is checked against the Gram-matrix calls.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from motifqk.data import Construct, encode_dataset
 from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import screen_advantage
 from motifqk.kernels import (
+    KERNEL_FIELDS,
     KernelSpec,
     geometric_difference,
     jacobi_eigh,
@@ -163,6 +165,18 @@ def test_kernel_matrix_rejects_nonfinite():
     X = np.array([[1e300, 1e300]])
     with pytest.raises(DataError):
         kernel_matrix(X, KernelSpec(kind="linear"))
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_FIELDS))
+def test_kernel_fields_are_the_fields_kernel_matrix_reads(rng, kind):
+    # grid dedup shares the scores of candidates that agree on the listed
+    # fields, which is exact only if no other field moves the matrix
+    X = 0.3 * rng.normal(size=(6, 4))
+    base = KernelSpec(kind, gamma=0.5, degree=3, coef0=0.5)
+    K = kernel_matrix(X, base)
+    for field, value in (("gamma", 0.7), ("degree", 2), ("coef0", 1.0)):
+        other = kernel_matrix(X, dataclasses.replace(base, **{field: value}))
+        assert np.array_equal(other, K) == (field not in KERNEL_FIELDS[kind])
 
 
 def test_trace_normalized():
