@@ -26,7 +26,8 @@ from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
     parse_scale, project_features
 from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
     model_complexity, parse_gamma, spectrum
-from .svm import GridConfig, grid_search, predict, smo_train, weighted_f1
+from .svm import GridConfig, check_stopping, grid_search, predict, \
+    smo_train, weighted_f1
 
 METHODS = ("original", "pqk")
 FEATURE_ORDERS = ("natural", "correlation")
@@ -110,6 +111,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_n_jobs(self.n_jobs)
+        check_stopping(self.smo_tol, self.smo_max_passes)
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be >= 2")
         if self.feature_order not in FEATURE_ORDERS:
             raise ConfigError(
                 f"feature_order must be one of {FEATURE_ORDERS}, "
@@ -260,11 +264,12 @@ def _accumulate(counts: dict, categories: list[tuple[str, ...]],
 
 
 def _run_arm(X, y, tr, te, config: ExperimentConfig):
-    gs = grid_search(X[list(tr)], y[list(tr)], config.grid,
-                     folds=config.cv_folds, seed=config.cv_seed,
-                     tol=config.smo_tol, max_passes=config.smo_max_passes)
+    X_tr, y_tr = X[list(tr)], y[list(tr)]
+    gs = grid_search(X_tr, y_tr, config.grid, folds=config.cv_folds,
+                     seed=config.cv_seed, tol=config.smo_tol,
+                     max_passes=config.smo_max_passes)
     spec, C = gs.best_model_inputs()
-    model = smo_train(X[list(tr)], y[list(tr)], spec, C, tol=config.smo_tol,
+    model = smo_train(X_tr, y_tr, spec, C, tol=config.smo_tol,
                       max_passes=config.smo_max_passes)
     preds = predict(model, X[list(te)])
     kind, c_val, g_val = gs.best

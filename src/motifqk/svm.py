@@ -25,8 +25,10 @@ score, but for the sign of a zero, which no comparison sees. That loop's
 grad starts at -1 and can only reach zero as +0.0, so the finish rebuilds
 it as -y * score + 0.0, and fits match the reference bit for bit.
 
-Grid search evaluates candidates in declared order under shared stratified
-folds so results are exactly reproducible.
+Grid search builds one Gram per kernel and fold, under stratified folds
+shared by every candidate, and hands it to the solver core for each
+distinct C. Results and tie-breaking do not depend on the order of the
+fits, so they are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -161,6 +163,27 @@ def _check_solution(alpha, yf, margins, C: float, slack: float) -> None:
                 f"{name} point(s) of a converged fit")
 
 
+def check_stopping(tol: float, max_passes: int) -> None:
+    """Reject an SMO stopping rule: tol must be finite and > 0, and
+    max_passes an int >= 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("tol must be finite and > 0")
+    if not (isinstance(max_passes, int) and max_passes >= 0):
+        raise ConfigError("max_passes must be an int >= 0")
+
+
+def _checked_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise DataError("X must be 2-D with one label per row")
+    if not np.isin(y, (-1, 1)).all():
+        raise DataError("labels must be -1/+1")
+    if len(np.unique(y)) < 2:
+        raise DataError("training data must contain both classes")
+    return X, y
+
+
 def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
               max_passes: int = 200) -> SvmModel:
     """Solve the soft-margin dual for one kernel/C setting.
@@ -171,22 +194,20 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     constraint, or a converged one that breaks the KKT conditions, raises
     ``SolverError``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise DataError("X must be 2-D with one label per row")
-    if not np.isin(y, (-1, 1)).all():
-        raise DataError("labels must be -1/+1")
-    if len(np.unique(y)) < 2:
-        raise DataError("training data must contain both classes")
+    X, y = _checked_rows(X, y)
+    gamma = resolve_gamma(spec, X)
+    return _smo_fit(X, y, kernel_matrix(X, spec, gamma=gamma), spec, gamma,
+                    C, tol, max_passes)
+
+
+def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
+             max_passes: int) -> SvmModel:
+    """``smo_train`` on checked rows and their Gram K, built with ``gamma``."""
     if not (math.isfinite(C) and C > 0):
         raise ConfigError("C must be positive and finite")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError("tol must be positive")
+    check_stopping(tol, max_passes)
     N = X.shape[0]
     yf = y.astype(np.float64)
-    gamma = resolve_gamma(spec, X)
-    K = kernel_matrix(X, spec, gamma=gamma)
     eps = 1e-12
     ys = yf.tolist()
     K_diag = K.diagonal().tolist()
@@ -398,29 +419,33 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
     """Cross-validated sweep; ties keep the earliest candidate in grid order.
 
     Candidates that agree on C and on the ``KERNEL_FIELDS`` of their kind
-    are evaluated once and share their scores, which leaves per-candidate
-    results identical to the brute-force sweep.
+    are evaluated once and share their scores. Each kernel key and fold
+    builds one Gram, the one ``smo_train`` would build, and fits every
+    distinct C on it, which leaves per-candidate results identical to the
+    brute-force sweep.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    X, y = _checked_rows(X, y)
     assign, folds_eff = stratified_folds(y, folds, seed)
     cands = grid.candidates()
-    means = np.empty(len(cands))
-    cache: dict = {}
-    nonconverged = 0
+    keys: dict = {}  # kernel key -> (its first spec, C -> candidates)
     for idx, (kind, C, g) in enumerate(cands):
         spec = KernelSpec(kind, g, grid.degree, grid.coef0)
-        key = (kind, C) + tuple(getattr(spec, f) for f in KERNEL_FIELDS[kind])
-        if key not in cache:
-            scores = []
-            for f in range(folds_eff):
-                tr, te = assign != f, assign == f
-                model = smo_train(X[tr], y[tr], spec, C, tol=tol,
-                                  max_passes=max_passes)
+        key = (kind,) + tuple(getattr(spec, f) for f in KERNEL_FIELDS[kind])
+        keys.setdefault(key, (spec, {}))[1].setdefault(C, []).append(idx)
+    scores = np.empty((len(cands), folds_eff))
+    nonconverged = 0
+    for spec, by_c in keys.values():
+        for f in range(folds_eff):
+            tr, te = assign != f, assign == f
+            X_tr, y_tr = X[tr], y[tr]
+            gamma = resolve_gamma(spec, X_tr)
+            K = kernel_matrix(X_tr, spec, gamma=gamma)
+            for C, idx in by_c.items():
+                model = _smo_fit(X_tr, y_tr, K, spec, gamma, C, tol, max_passes)
                 nonconverged += not model.converged
-                scores.append(weighted_f1(y[te], predict(model, X[te])))
-            cache[key] = float(np.array(scores).mean())
-        means[idx] = cache[key]
+                scores[idx, f] = weighted_f1(y[te], predict(model, X[te]))
+            del K  # one Gram alive at a time
+    means = scores.mean(axis=1)
     best = int(np.argmax(means))  # the first maximum: ties keep the earliest
     return GridSearchResult(cands, means, best, folds_eff, grid.degree,
                             grid.coef0, nonconverged)

@@ -419,13 +419,13 @@ def test_screen_rejects_bad_flag_before_projecting(tmp_path, encoded_csv,
     assert calls == []
 
 
-def _report_ini(tmp_path, raw_csv):
+def _report_ini(tmp_path, raw_csv, **protocol):
     cp = configparser.ConfigParser()
     cp["dataset"] = {"path": str(raw_csv)}
     cp["embedding"] = {"kind": "e1", "reps": "6", "scale": "pi2"}
     cp["backend"] = {"backend": "obp:0.0"}
     cp["protocol"] = {"n_splits": "3", "split_seed": "0", "cv_folds": "2",
-                      "cv_seed": "0"}
+                      "cv_seed": "0", **protocol}
     cp["grid"] = {"kernels": "linear,rbf", "c_values": "1.0",
                   "gamma_values": "scale"}
     ini = tmp_path / "exp.ini"
@@ -460,6 +460,21 @@ def test_report_rejects_bad_alpha_before_running(tmp_path, raw_csv,
                "--output-dir", str(outdir), "--alpha", alpha])
     assert rc == 2
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("protocol", [
+    {"cv_folds": "1"}, {"smo_tol": "-1"}, {"smo_tol": "nan"},
+    {"smo_max_passes": "-5"}])
+def test_report_rejects_bad_protocol_before_projecting(tmp_path, raw_csv,
+                                                       monkeypatch, protocol):
+    calls = []
+    monkeypatch.setattr("motifqk.evaluation.project_features",
+                        lambda *args, **kwargs: calls.append(args))
+    ini = _report_ini(tmp_path, raw_csv, **protocol)
+    rc = main(["report", "--config", str(ini),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert calls == []
 
 
 def test_report_missing_config(tmp_path):

@@ -459,6 +459,14 @@ def test_experiment_config_rejects_nonpositive_n_jobs():
     assert _synthetic_config(n_jobs=2).n_jobs == 2
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("cv_folds", 1, "cv_folds"), ("smo_tol", -1.0, "tol"),
+    ("smo_tol", math.nan, "tol"), ("smo_max_passes", -5, "max_passes")])
+def test_experiment_config_rejects_a_bad_protocol(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        _synthetic_config(**{field: value})
+
+
 def test_experiment_config_hash_changes_with_config():
     a = run_experiment(make_separable_dataset(), _synthetic_config())
     b = run_experiment(make_separable_dataset(),

@@ -79,6 +79,12 @@ def test_smo_validation():
         smo_train(X, np.array([1, 0, -1]), KernelSpec(kind="linear"), C=1.0)
     with pytest.raises(ConfigError):
         smo_train(X, np.array([1, -1, 1]), KernelSpec(kind="linear"), C=0.0)
+    # a bad stopping rule is refused before any update
+    for tol, max_passes in ((0.0, 200), (float("nan"), 200), (1e-3, -3),
+                            (1e-3, 1.5)):
+        with pytest.raises(ConfigError):
+            smo_train(X, np.array([1, -1, 1]), KernelSpec(kind="linear"),
+                      C=1.0, tol=tol, max_passes=max_passes)
 
 
 def test_smo_warns_when_not_converged():
@@ -238,19 +244,44 @@ def _reference_grid_scores(X, y, grid, folds, seed):
     return out
 
 
-def test_grid_search_matches_reference(rng):
+# every kind, a repeated C, and both gammas resolved from the fold's rows
+_WIDE_GRID = GridConfig(c_values=(0.5, 1.0, 0.5, 20.0),
+                        gamma_values=("scale", "auto", 0.5))
+
+
+def _grid_problem(rng):
     X = rng.normal(size=(12, 2))
     y = np.where(X[:, 0] + X[:, 1] > 0, 1, -1)
     if len(set(y.tolist())) == 1:
         y[0] = -y[0]
-    grid = GridConfig(kernels=("linear", "rbf"), c_values=(0.5, 1.0),
-                      gamma_values=("scale", 0.5))
+    return X, y
+
+
+def test_grid_search_matches_reference(rng):
+    X, y = _grid_problem(rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = grid_search(X, y, grid, folds=3, seed=1)
-        want = _reference_grid_scores(X, y, grid, folds=3, seed=1)
-    assert np.allclose(result.means, want, atol=1e-12)
+        result = grid_search(X, y, _WIDE_GRID, folds=3, seed=1)
+        want = _reference_grid_scores(X, y, _WIDE_GRID, folds=3, seed=1)
+    assert result.means.tolist() == want
     assert result.best_index == int(np.argmax(want))
+
+
+def test_grid_search_builds_one_gram_per_kernel_and_fold(rng, monkeypatch):
+    X, y = _grid_problem(rng)
+    squares = []
+
+    def counting(X, spec, Y=None, gamma=None):
+        if Y is None:
+            squares.append(spec.kind)
+        return kernel_matrix(X, spec, Y=Y, gamma=gamma)
+
+    monkeypatch.setattr(svm, "kernel_matrix", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid_search(X, y, _WIDE_GRID, folds=3, seed=1)
+    # linear reads no field; rbf, poly and sigmoid read each of 3 gammas
+    assert len(squares) == (1 + 3 + 3 + 3) * 3
 
 
 def test_grid_search_dedup_ties_break_earliest(rng):
