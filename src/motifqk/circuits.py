@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 GATE_KINDS = ("H", "CX") + ROTATION_KINDS
@@ -165,8 +165,7 @@ def build_heisenberg_embedding(x, steps: int, scale: float,
         raise ConfigError("steps must be an integer >= 1")
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError("scale must be positive and finite")
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, n)
     prep = tuple(Gate("RY", (q,), float(thetas[q])) for q in range(n))

@@ -45,8 +45,6 @@ def _add_embedding_flags(sub) -> None:
     sub.add_argument("--seed", type=int, required=True,
                      help="seed for the e2 init layer / shot sampling")
     sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--test-mode", action="store_true",
-                     help="allow parameters outside the production settings")
 
 
 def _refuse_unread(args, command: str, flags) -> None:
@@ -88,8 +86,7 @@ def _features_from_args(args):
     embedding = EmbeddingConfig(
         args.embedding, reps=args.reps, steps=args.steps,
         scale=parse_scale(args.scale),
-        seed=args.seed if args.embedding == "e2" else None,
-        test_mode=args.test_mode)
+        seed=args.seed if args.embedding == "e2" else None)
     backend = BackendConfig.parse(
         args.backend,
         seed=args.seed if args.backend.startswith("shots:") else None)
@@ -202,11 +199,11 @@ def _write_report_tables(report, outdir: Path, alpha: float) -> None:
 def cmd_report(args) -> int:
     check_alpha(args.alpha)  # before the experiment, which is the slow part
     dataset_path, config = config_from_ini(args.config)
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)  # before the experiment too
     constructs = dataio.load_constructs(dataset_path)
     dataset = dataio.encode_dataset(constructs)
     report = run_experiment(dataset, config)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     report.save(outdir / "report.json")
     _write_report_tables(report, outdir, args.alpha)
     print(f"median F1: original {report.median_f1['original']:.4f}, "

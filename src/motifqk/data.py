@@ -177,7 +177,8 @@ def load_constructs(path) -> list[Construct]:
     """Read a construct screen CSV with columns pos1,pos2,pos3,cytotoxicity.
 
     Empty position cells mean the construct is shorter than three motifs;
-    filled positions must be contiguous from pos1.
+    filled positions must be contiguous from pos1. A file with no data
+    rows is a ``DataError``, as in ``read_labelled_csv``.
     """
     required = ["pos1", "pos2", "pos3", "cytotoxicity"]
     constructs = []
@@ -204,6 +205,8 @@ def load_constructs(path) -> list[Construct]:
                 constructs.append(Construct(tuple(motifs), score))
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+    if not constructs:
+        raise DataError(f"{path}: no data rows")
     logger.info("loaded %d constructs from %s", len(constructs), path)
     return constructs
 

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
 from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
     parse_scale, project_features
-from .kernels import KernelSpec, geometric_difference, kernel_matrix, \
-    model_complexity, parse_gamma, spectrum
+from .kernels import KernelSpec, check_lam, geometric_difference, \
+    kernel_matrix, model_complexity, parse_gamma, spectrum
 from .svm import GridConfig, check_stopping, grid_search, predict, \
     smo_train, weighted_f1
 
@@ -52,6 +52,7 @@ def make_splits(n_samples: int, n_splits: int = 10, train_frac: float = 0.7,
         raise ConfigError("train_frac must be in (0, 1)")
     if n_splits < 1:
         raise ConfigError("n_splits must be >= 1")
+    check_seed(seed, "split seed")
     n_train = math.floor(train_frac * n_samples)
     if n_train < 1 or n_train >= n_samples:
         raise ConfigError("train_frac leaves an empty side")
@@ -112,6 +113,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check_n_jobs(self.n_jobs)
         check_stopping(self.smo_tol, self.smo_max_passes)
+        check_seed(self.split_seed, "split_seed")
+        check_seed(self.cv_seed, "cv_seed")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if self.feature_order not in FEATURE_ORDERS:
@@ -213,7 +216,10 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
 
     The two Gram matrices use the same kernel spec, one on the raw bits and
     one on the projected features. g near sqrt(N) with a large classical
-    complexity but small quantum complexity is the interesting regime.
+    complexity but small quantum complexity is the interesting regime. A
+    bad ``lam`` is refused before either Gram is decomposed; each Gram is
+    then validated and decomposed once, and g and both s_K read its
+    ``spectrum``.
     """
     Xc = np.asarray(bits, dtype=np.float64)
     Fq = np.asarray(pqk_features, dtype=np.float64)
@@ -224,9 +230,8 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
         raise DataError("labels must be -1/+1")
     Kc = kernel_matrix(Xc, spec)
     Kq = kernel_matrix(Fq, spec)
-    # one eigh per Gram; Kc's ridge is checked before Kq is decomposed and
-    # Kq's in s_pqk, the order the Gram-matrix calls check them in
-    c, q = spectrum(Kc, lam), spectrum(Kq)
+    check_lam(lam)  # before the eigh of either Gram
+    c, q = spectrum(Kc), spectrum(Kq)
     g = geometric_difference(c, q, lam)
     s_c = model_complexity(c, y, lam)
     s_q = model_complexity(q, y, lam)
@@ -330,13 +335,6 @@ def run_experiment(dataset: EncodedDataset,
     )
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"Not a boolean: {text}") from None
-
-
 def _listed(convert):
     return lambda text: tuple(convert(tok.strip()) for tok in text.split(","))
 
@@ -349,7 +347,7 @@ def _listed(convert):
 _INI_KEYS = {
     "dataset": {"path": str},
     "embedding": {"kind": str, "reps": int, "steps": int,
-                  "scale": parse_scale, "seed": int, "test_mode": _boolean},
+                  "scale": parse_scale, "seed": int},
     "backend": {"backend": str, "seed": int},
     "protocol": {"n_splits": int, "train_frac": float, "split_seed": int,
                  "cv_folds": int, "cv_seed": int, "feature_order": str,
@@ -405,6 +403,6 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
             grid=GridConfig(**values.get("grid", {})),
             **values["protocol"], **values.get("cache", {}))
     except (ValueError, configparser.Error) as exc:
-        # INI syntax (duplicate keys, bad % interpolation), or int(),
-        # float() or a boolean on a malformed value
+        # INI syntax (duplicate keys, bad % interpolation), or int() or
+        # float() on a malformed value
         raise ConfigError(f"{path}: {exc}") from None

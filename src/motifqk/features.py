@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BackendError, ConfigError, DataError
+from .errors import BackendError, ConfigError, DataError, check_seed
 from .data import read_labelled_csv, write_labelled_csv
 from . import statevector as sv
 from .circuits import Circuit, simplify
@@ -98,12 +98,12 @@ class EmbeddingConfig:
     """Which embedding to build and with what parameters.
 
     ``reps``, ``steps`` and ``seed`` are None when not given. E1 needs
-    ``reps``, E2 ``steps`` and ``seed`` (its RY layer); neither takes more.
-    Both kinds couple the qubits of a linear chain. Production settings are
-    enforced unless ``test_mode`` is set: E1 repetitions in {4, 6, 8, 12},
-    E2 Trotter steps in {4, 6}, scale pi or pi/2. ``test_mode`` additionally
-    allows ``reps=0``, the identity embedding (features are the fixed |0>
-    Bloch vectors).
+    ``reps``, E2 ``steps`` and ``seed`` (its RY layer, an int >= 0);
+    neither takes more. Both kinds couple the qubits of a linear chain.
+    Only the production settings are accepted: E1 repetitions in
+    {4, 6, 8, 12}, E2 Trotter steps in {4, 6}, scale pi or pi/2. A circuit
+    at any other setting comes from ``build_zz_feature_map`` or
+    ``build_heisenberg_embedding`` directly.
 
     ``descriptor()`` keys the feature cache and the report's config hash;
     keep its text, including the E1 suffix ``:ent=linear``.
@@ -114,7 +114,6 @@ class EmbeddingConfig:
     steps: int | None = None
     scale: float = math.pi / 2
     seed: int | None = None
-    test_mode: bool = False
 
     def __post_init__(self):
         if self.kind not in ("e1", "e2"):
@@ -126,28 +125,21 @@ class EmbeddingConfig:
             if getattr(self, name) is not None and name not in reads:
                 raise ConfigError(
                     f"embedding kind {self.kind} does not read {name}")
-        if self.kind == "e1":
-            if self.reps < 0 or (self.reps == 0 and not self.test_mode):
-                raise ConfigError("e1 needs reps >= 1")
-            if not self.test_mode and self.reps not in PRODUCTION_REPS:
+        if self.kind == "e1" and self.reps not in PRODUCTION_REPS:
+            raise ConfigError(f"e1 reps must be one of {PRODUCTION_REPS}")
+        if self.kind == "e2":
+            if self.steps not in PRODUCTION_STEPS:
                 raise ConfigError(
-                    f"e1 reps must be one of {PRODUCTION_REPS} (or set test_mode)")
-        else:
-            if self.steps < 1:
-                raise ConfigError("e2 needs steps >= 1")
-            if not self.test_mode and self.steps not in PRODUCTION_STEPS:
-                raise ConfigError(
-                    f"e2 steps must be one of {PRODUCTION_STEPS} (or set test_mode)")
-        if not self.test_mode and self.scale not in PRODUCTION_SCALES:
-            raise ConfigError("scale must be pi or pi/2 (or set test_mode)")
+                    f"e2 steps must be one of {PRODUCTION_STEPS}")
+            check_seed(self.seed, "e2 seed")
+        if self.scale not in PRODUCTION_SCALES:
+            raise ConfigError("scale must be pi or pi/2")
 
     def n_qubits(self, n_features: int) -> int:
         return n_features if self.kind == "e1" else n_features + 1
 
     def build(self, x) -> Circuit:
         if self.kind == "e1":
-            if self.reps == 0:
-                return Circuit(len(x), ())
             return build_zz_feature_map(x, self.reps, self.scale)
         return build_heisenberg_embedding(x, self.steps, self.scale, self.seed)
 

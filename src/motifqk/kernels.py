@@ -5,12 +5,12 @@
 
 The geometric difference g(Kc, Kq) and model complexity s_K quantify, from
 Gram matrices alone, whether a quantum-projected kernel can separate itself
-from a classical one on the same data. Both take a Gram matrix or its
-``spectrum``: the eigenpairs of the trace-normalized matrix from one numpy
-``eigh``. A screening call validates and decomposes each Gram once and
-hands the spectrum to g and s_K; given the Gram matrices, they return the
-same bits. The cyclic Jacobi solver has no production caller; it stays
-because the benchmark's ``kernels.jacobi_eigh`` span wraps it by name.
+from a classical one on the same data. Both take the ``spectrum`` of each
+Gram, never the Gram itself: the eigenpairs of the trace-normalized matrix
+from one numpy ``eigh``, with the ridge lambda applied per call. So a Gram
+is validated and decomposed once however many metrics or lambdas read it.
+The cyclic Jacobi solver has no production caller; it stays because the
+benchmark's ``kernels.jacobi_eigh`` span wraps it by name.
 """
 
 from __future__ import annotations
@@ -187,74 +187,63 @@ class Spectrum:
     w: np.ndarray
     V: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the Gram matrix the eigenpairs describe."""
-        return self.V.shape
 
-
-def spectrum(K, lam: float | None = None) -> Spectrum:
+def spectrum(K) -> Spectrum:
     """The one ``eigh`` of a Gram matrix that g, s_K and ``psd_sqrt`` share.
 
     K must be square, symmetric, finite and PSD; it is rescaled to trace N,
-    the convention behind g and s_K values, before one ``eigh``. With
-    ``lam``, lam is checked first and K + lam I must be nonsingular. A
-    Spectrum passes through, with the ``lam`` checks applied to it.
+    the convention behind g and s_K values, before one ``eigh``.
     """
-    if lam is not None:
-        check_lam(lam)
-    if not isinstance(K, Spectrum):
-        K = check_kernel_matrix(K)
-        tr = float(np.trace(K))
-        if tr <= 0:
-            raise DataError("kernel trace must be positive to normalize")
-        w, V = np.linalg.eigh(K * (K.shape[0] / tr))
-        if w[0] < -1e-8:
-            raise DataError(
-                f"matrix is not PSD (eigenvalue {w[0]:.3e} < -1e-8)")
-        K = Spectrum(w, V)
-    if lam is not None and K.w[0] + lam <= 1e-12:
+    K = check_kernel_matrix(K)
+    tr = float(np.trace(K))
+    if tr <= 0:
+        raise DataError("kernel trace must be positive to normalize")
+    w, V = np.linalg.eigh(K * (K.shape[0] / tr))
+    if w[0] < -1e-8:
+        raise DataError(f"matrix is not PSD (eigenvalue {w[0]:.3e} < -1e-8)")
+    return Spectrum(w, V)
+
+
+def _check_ridge(s: Spectrum, lam: float) -> None:
+    """Reject a bad lam, then a singular K + lam I."""
+    check_lam(lam)
+    if s.w[0] + lam <= 1e-12:
         raise DataError("K + lam*I is singular; use a positive lam")
-    return K
 
 
-def psd_sqrt(K) -> np.ndarray:
-    """Symmetric PSD square root of a Gram matrix K, or of the
-    trace-normalized matrix a Spectrum describes; the ``spectrum`` checks
-    apply, and small negative eigenvalues are clipped to zero."""
-    s = spectrum(K)
+def psd_sqrt(s: Spectrum) -> np.ndarray:
+    """Symmetric PSD square root of the trace-normalized Gram matrix a
+    Spectrum describes; small negative eigenvalues are clipped to zero."""
     root = (s.V * np.sqrt(np.clip(s.w, 0.0, None))) @ s.V.T
-    if not isinstance(K, Spectrum):  # from trace N back to K's own trace
-        root *= math.sqrt(np.trace(K) / len(K))
     return (root + root.T) / 2.0
 
 
-def geometric_difference(Kc, Kq, lam: float = 0.0) -> float:
-    """g(Kc, Kq) = sqrt ||sqrt(Kq) sqrt(Kc) (Kc + lam I)^-2 sqrt(Kc) sqrt(Kq)||.
+def geometric_difference(c: Spectrum, q: Spectrum, lam: float = 0.0) -> float:
+    """g(Kc, Kq) = sqrt ||sqrt(Kq) sqrt(Kc) (Kc + lam I)^-2 sqrt(Kc) sqrt(Kq)||
+    on the ``spectrum`` of each Gram, so both are trace-normalized to N.
 
-    Both kernels are trace-normalized to N first. Large values (on the
-    order of sqrt(N)) mean the classical kernel cannot mimic the quantum
-    geometry; small values mean a classical model should match. Either
-    argument may be a Gram matrix or its ``spectrum``.
+    Large values (on the order of sqrt(N)) mean the classical kernel cannot
+    mimic the quantum geometry; small values mean a classical model should
+    match.
     """
-    c, q = spectrum(Kc, lam), spectrum(Kq)
-    if c.shape != q.shape:
+    _check_ridge(c, lam)
+    if c.V.shape != q.V.shape:
         raise DataError("kernel matrices must have identical shape")
     B = (c.V * (np.clip(c.w, 0.0, None) / (c.w + lam) ** 2)) @ c.V.T
     Sq = psd_sqrt(q)
     return math.sqrt(max(float(np.linalg.eigvalsh(Sq @ B @ Sq)[-1]), 0.0))
 
 
-def model_complexity(K, y, lam: float = 0.0) -> float:
+def model_complexity(s: Spectrum, y, lam: float = 0.0) -> float:
     """s_K = sqrt(lam^2 y^T (K+lam I)^-2 y / N) + sqrt(y^T (K+lam I)^-1 K
-    (K+lam I)^-1 y / N) on the trace-normalized kernel.
+    (K+lam I)^-1 y / N) on the trace-normalized kernel of a ``spectrum``.
 
     Values near sqrt(N) mean the kernel needs about one support vector per
     sample (no generalization); small values mean the labels are easy for
-    this geometry. K may be a Gram matrix or its ``spectrum``.
+    this geometry.
     """
-    s = spectrum(K, lam)
-    N = s.shape[0]
+    _check_ridge(s, lam)
+    N = len(s.w)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (N,):
         raise DataError("label vector length must match the kernel")

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SolverError
+from .errors import ConfigError, DataError, SolverError, check_seed
 from .kernels import KERNEL_FIELDS, KERNEL_KINDS, KernelSpec, kernel_matrix, \
     resolve_gamma
 
@@ -395,6 +395,7 @@ def stratified_folds(y, folds: int, seed: int):
     y = np.asarray(y)
     if folds < 2:
         raise ConfigError("folds must be >= 2")
+    check_seed(seed, "cv seed")
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2:
         raise DataError("stratified folds need both classes present")

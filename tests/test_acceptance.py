@@ -35,9 +35,11 @@ from motifqk.kernels import (
     kernel_matrix,
     model_complexity,
     resolve_gamma,
+    spectrum,
 )
 from motifqk.pauliprop import ObservableSum, PauliString, backpropagate_observable, obp_expectations
-from motifqk.statevector import pauli_expectation, simulate
+from motifqk.statevector import bloch_vectors, pauli_expectation, \
+    simulate
 from motifqk.svm import C_VALUES, GAMMA_VALUES, GridConfig, smo_train, \
     weighted_f1
 from motifqk.synthetic import make_separable_dataset
@@ -138,13 +140,16 @@ def test_criterion_03_bloch_vectors_valid():
                                                      scale=math.pi / 2,
                                                      seed=7), backend))
 
-    small = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-    for emb in (EmbeddingConfig(kind="e1", reps=2, scale=1.1, test_mode=True),
-                EmbeddingConfig(kind="e2", steps=2, scale=1.4, seed=5,
-                                test_mode=True)):
-        check(project_features(small, emb, BackendConfig(kind="exact")))
-        check(project_features(small, emb,
-                               BackendConfig(kind="obp", threshold=0.0)))
+    # off the production settings: the circuits built and read directly
+    small = rng.integers(0, 2, (8, 8)).astype(float)
+    for build in (lambda x: build_zz_feature_map(x, reps=2, scale=1.1),
+                  lambda x: build_heisenberg_embedding(x, steps=2, scale=1.4,
+                                                       seed=5)):
+        circuits = [build(row) for row in small]
+        check(np.array([bloch_vectors(c).reshape(-1) for c in circuits]))
+        check(np.array([obp_expectations(backpropagate_observable(
+            c, ObservableSum.single_qubit_stack(c.n_qubits), 0.0))
+            for c in circuits]))
 
     # shots estimate each basis on its own: unprojected, every triple of
     # this row's 100-shot estimates leaves the ball (r^2 up to 1.026)
@@ -175,11 +180,12 @@ def test_criterion_04_metric_closed_forms_and_brute_force():
     """Identity closed forms to 1e-12; dense numpy oracle to 1e-8."""
     rng = np.random.default_rng(44)
     for lam in (0.0, 0.5, 1.0, 10.0):
-        got = geometric_difference(np.eye(20), np.eye(20), lam)
+        eye = spectrum(np.eye(20))
+        got = geometric_difference(eye, eye, lam)
         assert abs(got - 1.0 / (1.0 + lam)) <= 1e-12, (lam, got)
     for n in (4, 50, 172):
         y = np.where(rng.integers(0, 2, n) == 0, -1.0, 1.0)
-        got = model_complexity(np.eye(n), y, 0.0)
+        got = model_complexity(spectrum(np.eye(n)), y, 0.0)
         assert abs(got - 1.0) <= 1e-12, (n, got)
     worst = 0.0
     for _ in range(5):
@@ -189,8 +195,8 @@ def test_criterion_04_metric_closed_forms_and_brute_force():
         y = np.where(rng.integers(0, 2, 20) == 0, -1.0, 1.0)
         for lam in (0.1, 1.0, 5.0):
             g_want, s_want = _metric_oracles(Kc, Kq, y, lam)
-            g_got = geometric_difference(Kc, Kq, lam)
-            s_got = model_complexity(Kq, y, lam)
+            g_got = geometric_difference(spectrum(Kc), spectrum(Kq), lam)
+            s_got = model_complexity(spectrum(Kq), y, lam)
             worst = max(worst, abs(g_got - g_want), abs(s_got - s_want))
             assert abs(g_got - g_want) <= 1e-8
             assert abs(s_got - s_want) <= 1e-8

@@ -54,6 +54,17 @@ def test_encode_malformed_input(tmp_path):
     assert rc == 3
 
 
+def test_encode_refuses_an_empty_screen(tmp_path, capsys):
+    # every reader of an encoded screen refuses one without rows, so the
+    # encoder refuses it too rather than write a header alone
+    empty = tmp_path / "empty.csv"
+    empty.write_text("pos1,pos2,pos3,cytotoxicity\n")
+    out = tmp_path / "out.csv"
+    assert main(["encode", "--input", str(empty), "--output", str(out)]) == 3
+    assert f"{empty}: no data rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_output_width(feature_csv):
     feats, labels = load_feature_csv(feature_csv)
     assert feats.shape == (10, 180)
@@ -475,6 +486,72 @@ def test_report_rejects_bad_protocol_before_projecting(tmp_path, raw_csv,
                "--output-dir", str(tmp_path / "out")])
     assert rc == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["embed", "screen", "report split_seed",
+                                  "report cv_seed", "train --grid"])
+def test_negative_seed_is_a_config_error_before_projecting(
+        tmp_path, raw_csv, encoded_csv, feature_csv, monkeypatch, capsys,
+        case):
+    # numpy takes seeds >= 0 only: a negative one is refused where its
+    # config is built, not as numpy's ValueError after the projection
+    calls = []
+    for where in ("motifqk.cli.project_features",
+                  "motifqk.evaluation.project_features"):
+        monkeypatch.setattr(where, lambda *args, **kwargs: calls.append(args))
+    out = str(tmp_path / "out")
+    e2 = ["--input", str(encoded_csv), "--embedding", "e2", "--steps", "4",
+          "--backend", "exact", "--seed", "-1"]
+    report = ["report", "--output-dir", out, "--config"]
+    argv = {
+        "embed": ["embed", "--output", out] + e2,
+        "screen": ["screen"] + e2,
+        "report split_seed": report + [
+            str(_report_ini(tmp_path, raw_csv, split_seed="-3"))],
+        "report cv_seed": report + [
+            str(_report_ini(tmp_path, raw_csv, cv_seed="-2"))],
+        "train --grid": ["train", "--features", str(feature_csv),
+                         "--output", out, "--grid", "--cv-seed", "-1"],
+    }[case]
+    assert main(argv) == 2
+    assert calls == []
+    assert "seed must be an int >= 0" in capsys.readouterr().err
+
+
+def test_no_switch_admits_settings_outside_production(tmp_path, raw_csv,
+                                                       encoded_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--input", str(encoded_csv),
+              "--output", str(tmp_path / "f.csv"), "--embedding", "e1",
+              "--reps", "3", "--backend", "exact", "--seed", "0",
+              "--test-mode"])
+    assert exc.value.code == 2
+    ini = _report_ini(tmp_path, raw_csv)
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    cp["embedding"]["test_mode"] = "true"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    capsys.readouterr()
+    rc = main(["report", "--config", str(ini),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown config key embedding.test_mode" in capsys.readouterr().err
+
+
+def test_report_unusable_output_dir_fails_before_running(tmp_path, raw_csv,
+                                                         monkeypatch):
+    # the output directory is made before the experiment, which at full
+    # width runs for hours
+    def fail(*args, **kwargs):
+        raise AssertionError("run_experiment ran")
+
+    monkeypatch.setattr("motifqk.cli.run_experiment", fail)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    rc = main(["report", "--config", str(_report_ini(tmp_path, raw_csv)),
+               "--output-dir", str(taken)])
+    assert rc == 3
 
 
 def test_report_missing_config(tmp_path):

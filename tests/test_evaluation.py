@@ -80,6 +80,9 @@ def test_make_splits_validation():
         make_splits(1)
     with pytest.raises(ConfigError):
         make_splits(3, train_frac=0.1)  # floor leaves an empty train side
+    for seed in (-3, 0.5):
+        with pytest.raises(ConfigError, match="split seed must be an int"):
+            make_splits(10, seed=seed)
 
 
 def test_fisher_known_values():
@@ -150,9 +153,14 @@ def test_run_experiment_synthetic_perfect():
 
 
 def test_run_experiment_identity_features_degrade():
+    # E1 reps 8 at pi/2 is the identity on every row of this set (the
+    # README's collapse): all rows get the one feature row of |0...0>
     config = _synthetic_config(
-        embedding=EmbeddingConfig(kind="e1", reps=0, test_mode=True))
-    report = run_experiment(make_separable_dataset(), config)
+        embedding=EmbeddingConfig(kind="e1", reps=8, scale=math.pi / 2))
+    dataset = make_separable_dataset()
+    F = project_features(dataset.bits, config.embedding, config.backend)
+    assert np.abs(F - np.tile([0.0, 0.0, 1.0], 15)).max() <= 1e-12
+    report = run_experiment(dataset, config)
     # constant features force a constant predictor on every split
     assert report.median_f1["pqk"] < 0.75
     assert report.median_f1["original"] == 1.0
@@ -461,7 +469,9 @@ def test_experiment_config_rejects_nonpositive_n_jobs():
 
 @pytest.mark.parametrize("field, value, match", [
     ("cv_folds", 1, "cv_folds"), ("smo_tol", -1.0, "tol"),
-    ("smo_tol", math.nan, "tol"), ("smo_max_passes", -5, "max_passes")])
+    ("smo_tol", math.nan, "tol"), ("smo_max_passes", -5, "max_passes"),
+    ("split_seed", -3, "split_seed must be an int >= 0"),
+    ("cv_seed", -2, "cv_seed must be an int >= 0")])
 def test_experiment_config_rejects_a_bad_protocol(field, value, match):
     with pytest.raises(ConfigError, match=match):
         _synthetic_config(**{field: value})

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from motifqk import features
-from motifqk.circuits import simplify
+from motifqk.circuits import build_zz_feature_map, simplify
 from motifqk.data import Construct, MOTIF_CATALOG, correlation_order, \
     encode_dataset
 from motifqk.errors import BackendError, ConfigError, DataError
@@ -24,6 +24,7 @@ from motifqk.features import (
 )
 from motifqk.pauliprop import ObservableSum, PauliString, \
     backpropagate_observable, obp_expectations
+from motifqk.statevector import bloch_vectors
 
 OBP0 = BackendConfig(kind="obp", threshold=0.0)
 EXACT = BackendConfig(kind="exact")
@@ -32,6 +33,9 @@ PRODUCTION_EMBEDDINGS = (
      for s in features.PRODUCTION_SCALES]
     + [EmbeddingConfig("e2", steps=k, scale=s, seed=0)
        for k in features.PRODUCTION_STEPS for s in features.PRODUCTION_SCALES])
+# a production setting for the tests of project_features' mechanics: its
+# random RY layer leaves no feature trivial, at any width
+SMALL = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
 # the row of test_obp_features_at_60_bits_are_pinned: 25 of 60 bits set
 DENSE_ROW = "010000111100100010000111100110000111110000101011100011000000"
 
@@ -57,11 +61,23 @@ def test_embedding_config_validation():
                    {"kind": "e1", "reps": 8, "steps": 4},
                    {"kind": "e1", "reps": 8, "seed": 0},
                    {"kind": "e2", "steps": 4, "seed": 0, "reps": 8},
-                   {"kind": "e1", "test_mode": True}):
+                   {"kind": "e1"}):
         with pytest.raises(ConfigError):
             EmbeddingConfig(**fields)
-    cfg = EmbeddingConfig(kind="e1", reps=3, scale=0.7, test_mode=True)
-    assert cfg.n_qubits(60) == 60
+    # only the production settings: no identity embedding (reps 0), no
+    # other angle, and no switch that lets one in
+    for fields in ({"kind": "e1", "reps": 0},
+                   {"kind": "e1", "reps": 3, "scale": 0.7},
+                   {"kind": "e2", "steps": 1, "scale": math.pi, "seed": 0},
+                   {"kind": "e2", "steps": 4, "scale": 1.4, "seed": 0}):
+        with pytest.raises(ConfigError):
+            EmbeddingConfig(**fields)
+    with pytest.raises(TypeError):
+        EmbeddingConfig(kind="e1", reps=8, test_mode=True)
+    # the e2 seed seeds numpy, which takes ints >= 0 only
+    for seed in (-1, 1.5, "0"):
+        with pytest.raises(ConfigError, match="e2 seed must be an int >= 0"):
+            EmbeddingConfig(kind="e2", steps=4, scale=math.pi, seed=seed)
 
 
 def test_embedding_qubit_counts():
@@ -69,14 +85,6 @@ def test_embedding_qubit_counts():
     e2 = EmbeddingConfig(kind="e2", steps=4, scale=math.pi, seed=1)
     assert e1.n_qubits(60) == 60
     assert e2.n_qubits(60) == 61
-
-
-def test_identity_embedding_needs_test_mode():
-    with pytest.raises(ConfigError):
-        EmbeddingConfig(kind="e1", reps=0)
-    cfg = EmbeddingConfig(kind="e1", reps=0, test_mode=True)
-    assert cfg.n_qubits(5) == 5
-    assert cfg.build(np.zeros(3)).gates == ()
 
 
 def test_backend_config_parse():
@@ -290,7 +298,7 @@ def test_single_qubit_stack_matches_stacked_sums():
 
 def test_obp_beyond_64_qubits_is_a_backend_error():
     # a typed error (exit 4), not an OverflowError from the readout masks
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
+    emb = EmbeddingConfig(kind="e1", reps=4, scale=math.pi / 2)
     with pytest.raises(BackendError, match="64-bit"):
         project_features(np.zeros((1, 65), dtype=np.uint8), emb, OBP0)
 
@@ -358,43 +366,34 @@ def test_feature_width_e1(rng):
     assert feats.shape == (3, 180)
 
 
-def test_feature_width_e2(rng):
-    bits = _bits(rng, 2, 60)
-    emb = EmbeddingConfig(kind="e2", steps=1, scale=0.9, seed=5, test_mode=True)
+def test_feature_width_e2():
+    bits = _one_hot_rows(2, seed=5)
+    emb = EmbeddingConfig(kind="e2", steps=4, scale=math.pi, seed=5)
     feats = project_features(bits, emb, BackendConfig(kind="obp", threshold=0.05))
     assert feats.shape == (2, 183)
 
 
-def test_identity_embedding_features():
-    emb = EmbeddingConfig(kind="e1", reps=0, test_mode=True)
-    bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8)
-    feats = project_features(bits, emb, EXACT)
-    assert feats.shape == (2, 9)
-    assert np.allclose(feats[:, 0::3], 0.0)
-    assert np.allclose(feats[:, 1::3], 0.0)
-    assert np.allclose(feats[:, 2::3], 1.0)
-
-
 def test_exact_and_obp_agree_small(rng):
-    bits = _bits(rng, 4, 6)
-    emb = EmbeddingConfig(kind="e1", reps=2, scale=1.1, test_mode=True)
-    a = project_features(bits, emb, EXACT)
-    b = project_features(bits, emb, OBP0)
-    assert np.allclose(a, b, atol=1e-11)
+    # off the production settings, so the circuits are built and read directly
+    for row in _bits(rng, 4, 6).astype(float):
+        circuit = build_zz_feature_map(row, reps=2, scale=1.1)
+        a = bloch_vectors(circuit).reshape(-1)
+        b = obp_expectations(backpropagate_observable(
+            circuit, ObservableSum.single_qubit_stack(6), 0.0))
+        assert np.allclose(a, b, atol=1e-11)
 
 
 def test_duplicate_rows_identical_features(rng):
     row = rng.integers(0, 2, 8).astype(np.uint8)
     bits = np.stack([row, row, row])
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=0.8, test_mode=True)
-    feats = project_features(bits, emb, EXACT)
+    feats = project_features(bits, SMALL, EXACT)
     assert np.array_equal(feats[0], feats[1])
     assert np.array_equal(feats[0], feats[2])
 
 
 def test_bloch_norm_bound(rng):
     bits = _bits(rng, 5, 7)
-    emb = EmbeddingConfig(kind="e2", steps=2, scale=1.4, seed=3, test_mode=True)
+    emb = EmbeddingConfig(kind="e2", steps=4, scale=math.pi, seed=3)
     feats = project_features(bits, emb, EXACT)
     radii = (feats.reshape(5, -1, 3) ** 2).sum(axis=2)
     assert (radii <= 1.0 + 1e-9).all()
@@ -405,9 +404,8 @@ def test_exact_readout_off_bloch_ball_is_backend_error(monkeypatch):
     import motifqk.statevector as sv_mod
 
     monkeypatch.setattr(sv_mod, "pauli_expectation", lambda *args: 1.0)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
     with pytest.raises(BackendError, match="Bloch"):
-        project_features(np.array([[0, 1]]), emb, EXACT)
+        project_features(np.array([[0, 1]]), SMALL, EXACT)
 
 
 def test_truncated_triples_projected_onto_bloch_ball():
@@ -457,50 +455,45 @@ def test_empty_cache_dir_is_a_config_error(tmp_path, rng, monkeypatch):
     # an empty path names the working directory; refuse it rather than
     # fill it with cache entries
     monkeypatch.chdir(tmp_path)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
     with pytest.raises(ConfigError, match="cache dir must not be empty"):
-        project_features(_bits(rng, 2, 4), emb, EXACT, cache_dir="")
+        project_features(_bits(rng, 2, 4), SMALL, EXACT, cache_dir="")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip(tmp_path, rng):
     bits = _bits(rng, 3, 5)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
-    first = project_features(bits, emb, EXACT, cache_dir=tmp_path)
+    first = project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
     files = list(tmp_path.rglob("*.npy"))
     assert len(files) == 3
-    second = project_features(bits, emb, EXACT, cache_dir=tmp_path)
+    second = project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
     assert np.array_equal(first, second)
 
 
 def test_cache_is_keyed_by_config(tmp_path, rng):
     bits = _bits(rng, 2, 5)
-    emb1 = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
-    emb2 = EmbeddingConfig(kind="e1", reps=2, scale=1.0, test_mode=True)
-    project_features(bits, emb1, EXACT, cache_dir=tmp_path)
+    steps6 = EmbeddingConfig(kind="e2", steps=6, scale=math.pi / 2, seed=0)
+    project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
     n_first = len(list(tmp_path.rglob("*.npy")))
-    project_features(bits, emb2, EXACT, cache_dir=tmp_path)
+    project_features(bits, steps6, EXACT, cache_dir=tmp_path)
     assert len(list(tmp_path.rglob("*.npy"))) == 2 * n_first
 
 
 @pytest.mark.parametrize("damage", ["not an npy file", "wrong length"])
 def test_corrupt_cache_entry_is_a_data_error(tmp_path, rng, damage):
     bits = _bits(rng, 1, 4)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
-    project_features(bits, emb, EXACT, cache_dir=tmp_path)
+    project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
     (entry,) = tmp_path.rglob("*.npy")
     if damage == "wrong length":
         np.save(entry, np.zeros(5))
     else:
         entry.write_bytes(b"garbage")
     with pytest.raises(DataError, match="corrupt feature cache entry"):
-        project_features(bits, emb, EXACT, cache_dir=tmp_path)
+        project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
 
 
 def test_cache_actually_short_circuits(tmp_path, rng, monkeypatch):
     bits = _bits(rng, 2, 4)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
-    want = project_features(bits, emb, EXACT, cache_dir=tmp_path)
+    want = project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
 
     import motifqk.features as feats_mod
 
@@ -508,16 +501,15 @@ def test_cache_actually_short_circuits(tmp_path, rng, monkeypatch):
         raise AssertionError("cache miss")
 
     monkeypatch.setattr(feats_mod, "_sample_features", boom)
-    got = project_features(bits, emb, EXACT, cache_dir=tmp_path)
+    got = project_features(bits, SMALL, EXACT, cache_dir=tmp_path)
     assert np.array_equal(want, got)
 
 
 def test_shot_backend_determinism(rng):
     bits = _bits(rng, 2, 4)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=0.9, test_mode=True)
-    a = project_features(bits, emb, BackendConfig(kind="shots", shots=200, seed=5))
-    b = project_features(bits, emb, BackendConfig(kind="shots", shots=200, seed=5))
-    c = project_features(bits, emb, BackendConfig(kind="shots", shots=200, seed=6))
+    a = project_features(bits, SMALL, BackendConfig(kind="shots", shots=200, seed=5))
+    b = project_features(bits, SMALL, BackendConfig(kind="shots", shots=200, seed=5))
+    c = project_features(bits, SMALL, BackendConfig(kind="shots", shots=200, seed=6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert (np.abs(a) <= 1.0).all()
@@ -525,10 +517,9 @@ def test_shot_backend_determinism(rng):
 
 def test_shot_estimates_near_exact(rng):
     bits = _bits(rng, 2, 4)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=0.9, test_mode=True)
-    exact = project_features(bits, emb, EXACT)
+    exact = project_features(bits, SMALL, EXACT)
     shots = project_features(
-        bits, emb, BackendConfig(kind="shots", shots=200_000, seed=2))
+        bits, SMALL, BackendConfig(kind="shots", shots=200_000, seed=2))
     assert np.abs(exact - shots).max() < 0.02
 
 
@@ -564,11 +555,10 @@ def test_feature_csv_rejects_bad_header(tmp_path):
 
 
 def test_project_features_validates_bits(rng):
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
     with pytest.raises(DataError):
-        project_features(np.array([[0, 2]]), emb, EXACT)
+        project_features(np.array([[0, 2]]), SMALL, EXACT)
     with pytest.raises(DataError):
-        project_features(np.zeros((0, 4)), emb, EXACT)
+        project_features(np.zeros((0, 4)), SMALL, EXACT)
 
 
 def test_project_features_rejects_nonpositive_n_jobs(rng, monkeypatch):
@@ -576,15 +566,13 @@ def test_project_features_rejects_nonpositive_n_jobs(rng, monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(features, "ProcessPoolExecutor", no_pool)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
     for n_jobs in (0, -4):
         with pytest.raises(ConfigError, match="n_jobs"):
-            project_features(_bits(rng, 2, 3), emb, EXACT, n_jobs=n_jobs)
+            project_features(_bits(rng, 2, 3), SMALL, EXACT, n_jobs=n_jobs)
 
 
 def test_parallel_matches_serial(rng):
     bits = _bits(rng, 4, 5)
-    emb = EmbeddingConfig(kind="e1", reps=1, scale=1.0, test_mode=True)
-    serial = project_features(bits, emb, EXACT, n_jobs=1)
-    parallel = project_features(bits, emb, EXACT, n_jobs=2)
+    serial = project_features(bits, SMALL, EXACT, n_jobs=1)
+    parallel = project_features(bits, SMALL, EXACT, n_jobs=2)
     assert np.array_equal(serial, parallel)

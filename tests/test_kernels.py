@@ -2,7 +2,8 @@
 
 The metric oracles below evaluate the textbook formulas with dense numpy
 inverses; the package's own Jacobi solver is checked against numpy. The
-screen's shared-spectrum path is checked against the Gram-matrix calls.
+metrics take the ``spectrum`` of each Gram, so every metric test makes
+that one ``eigh`` first.
 """
 
 import dataclasses
@@ -206,25 +207,26 @@ def test_jacobi_diagonal_is_fixed_point():
 
 
 def test_psd_sqrt_squares_back(rng):
+    # the root of the Gram rescaled to trace N, the one g reads
     K = _random_psd(rng, 5)
-    S = psd_sqrt(K)
-    assert np.allclose(S @ S, K, atol=1e-8)
+    S = psd_sqrt(spectrum(K))
+    assert np.allclose(S @ S, 5 * K / np.trace(K), atol=1e-8)
     assert np.allclose(S, S.T)
 
 
 def test_psd_sqrt_identity():
-    assert np.allclose(psd_sqrt(np.eye(4)), np.eye(4))
+    assert np.allclose(psd_sqrt(spectrum(np.eye(4))), np.eye(4))
 
 
 def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(DataError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+    with pytest.raises(DataError, match="not PSD"):
+        psd_sqrt(spectrum(np.diag([1.0, -0.5])))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 10.0])
 def test_geometric_difference_identity_closed_form(lam):
-    K = np.eye(12)
-    assert geometric_difference(K, K, lam) == pytest.approx(1.0 / (1.0 + lam),
+    s = spectrum(np.eye(12))
+    assert geometric_difference(s, s, lam) == pytest.approx(1.0 / (1.0 + lam),
                                                             abs=1e-12)
 
 
@@ -233,7 +235,8 @@ def test_geometric_difference_equal_kernels(rng):
     lam = 0.7
     w = np.linalg.eigvalsh(8 * K / np.trace(K))
     want = math.sqrt((np.clip(w, 0, None) / (w + lam) ** 2 * w).max())
-    assert geometric_difference(K, K, lam) == pytest.approx(want, abs=1e-8)
+    s = spectrum(K)
+    assert geometric_difference(s, s, lam) == pytest.approx(want, abs=1e-8)
 
 
 def test_geometric_difference_oracle(rng):
@@ -241,7 +244,7 @@ def test_geometric_difference_oracle(rng):
     one_hot_kc, bloch_kq, _ = _one_hot_screen(rng)
     for Kc, Kq in pairs + [(one_hot_kc, bloch_kq)]:
         for lam in (0.1, 1.0, 5.0):
-            mine = geometric_difference(Kc, Kq, lam)
+            mine = geometric_difference(spectrum(Kc), spectrum(Kq), lam)
             want = _oracle_geometric_difference(Kc, Kq, lam)
             assert mine == pytest.approx(want, abs=1e-8)
 
@@ -250,7 +253,8 @@ def test_geometric_difference_monotone_in_lambda(rng):
     Kc = _random_psd(rng, 8)
     Kq = _random_psd(rng, 8)
     lams = [0.01, 0.1, 1.0, 10.0]
-    vals = [geometric_difference(Kc, Kq, lam) for lam in lams]
+    c, q = spectrum(Kc), spectrum(Kq)
+    vals = [geometric_difference(c, q, lam) for lam in lams]
     assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
 
 
@@ -259,29 +263,31 @@ def test_geometric_difference_permutation_invariant(rng):
     Kq = _random_psd(rng, 7)
     perm = rng.permutation(7)
     P = np.eye(7)[perm]
-    a = geometric_difference(Kc, Kq, 0.5)
-    b = geometric_difference(P @ Kc @ P.T, P @ Kq @ P.T, 0.5)
+    a = geometric_difference(spectrum(Kc), spectrum(Kq), 0.5)
+    b = geometric_difference(spectrum(P @ Kc @ P.T), spectrum(P @ Kq @ P.T),
+                             0.5)
     assert a == pytest.approx(b, abs=1e-8)
 
 
 def test_geometric_difference_singular_guard():
     Kc = np.zeros((3, 3))
     Kc[0, 0] = 3.0  # rank 1, singular at lam=0
-    with pytest.raises(DataError):
-        geometric_difference(Kc, np.eye(3), 0.0)
+    with pytest.raises(DataError, match="singular"):
+        geometric_difference(spectrum(Kc), spectrum(np.eye(3)), 0.0)
 
 
 def test_geometric_difference_rejects_non_psd():
     bad = np.diag([2.0, -1.0])
     bad = bad + bad.T  # symmetric, indefinite
-    with pytest.raises(DataError):
-        geometric_difference(bad, np.eye(2), 1.0)
+    with pytest.raises(DataError, match="not PSD"):
+        geometric_difference(spectrum(bad), spectrum(np.eye(2)), 1.0)
 
 
 def test_model_complexity_identity_closed_form(rng):
     for n in (4, 50, 172):
         y = np.where(rng.integers(0, 2, n) == 0, -1.0, 1.0)
-        assert model_complexity(np.eye(n), y, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert model_complexity(spectrum(np.eye(n)), y, 0.0) \
+            == pytest.approx(1.0, abs=1e-12)
 
 
 def test_model_complexity_oracle(rng):
@@ -291,7 +297,7 @@ def test_model_complexity_oracle(rng):
     one_hot_kc, bloch_kq, labels = _one_hot_screen(rng)
     for K, y in cases + [(one_hot_kc, labels), (bloch_kq, labels)]:
         for lam in (0.0, 0.5, 2.0):
-            mine = model_complexity(K, y, lam)
+            mine = model_complexity(spectrum(K), y, lam)
             want = _oracle_model_complexity(K, y, lam)
             assert mine == pytest.approx(want, abs=1e-8)
 
@@ -299,8 +305,8 @@ def test_model_complexity_oracle(rng):
 def test_model_complexity_scale_invariant(rng):
     K = _random_psd(rng, 6)
     y = np.where(rng.integers(0, 2, 6) == 0, -1.0, 1.0)
-    a = model_complexity(K, y, 0.3)
-    b = model_complexity(5.0 * K, y, 0.3)
+    a = model_complexity(spectrum(K), y, 0.3)
+    b = model_complexity(spectrum(5.0 * K), y, 0.3)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -308,20 +314,21 @@ def test_model_complexity_singular_guard():
     K = np.zeros((3, 3))
     K[0, 0] = 3.0
     y = np.array([1.0, -1.0, 1.0])
-    with pytest.raises(DataError):
-        model_complexity(K, y, 0.0)
+    with pytest.raises(DataError, match="singular"):
+        model_complexity(spectrum(K), y, 0.0)
 
 
 def test_screen_advantage_matches_the_gram_matrix_calls(rng):
-    # the shared spectra give exactly the values of one eigh per metric
+    # the screen gives exactly the metrics on the spectra of its two Grams
     bits, features, y = _one_hot_screen_inputs(rng)
     spec = KernelSpec(kind="rbf", gamma="scale")
-    Kc, Kq = kernel_matrix(bits, spec), kernel_matrix(features, spec)
+    c = spectrum(kernel_matrix(bits, spec))
+    q = spectrum(kernel_matrix(features, spec))
     for lam in README_LAMBDAS:
         out = screen_advantage(bits, y, features, spec, lam)
-        assert out["g_cq"] == geometric_difference(Kc, Kq, lam)
-        assert out["s_classical"] == model_complexity(Kc, y, lam)
-        assert out["s_pqk"] == model_complexity(Kq, y, lam)
+        assert out["g_cq"] == geometric_difference(c, q, lam)
+        assert out["s_classical"] == model_complexity(c, y, lam)
+        assert out["s_pqk"] == model_complexity(q, y, lam)
 
 
 def test_screen_advantage_decomposes_each_gram_once(rng, monkeypatch):
@@ -336,12 +343,15 @@ def test_screen_advantage_checks_each_gram_once(rng, monkeypatch):
     counts = _count_calls(monkeypatch, kernels, "check_kernel_matrix")
     screen_advantage(bits, y, features, KernelSpec(kind="rbf"), 1.0)
     assert counts == {"check_kernel_matrix": 2}
-    # the metrics on Gram matrices check each argument where it comes in
+    # spectrum checks each Gram once; the metrics on spectra check none
     counts["check_kernel_matrix"] = 0
     Kc, Kq, y = _one_hot_screen(rng)
-    geometric_difference(Kc, Kq, 1.0)
-    model_complexity(Kc, y, 1.0)
-    assert counts == {"check_kernel_matrix": 3}
+    c, q = spectrum(Kc), spectrum(Kq)
+    assert counts == {"check_kernel_matrix": 2}
+    for lam in README_LAMBDAS:
+        geometric_difference(c, q, lam)
+        model_complexity(c, y, lam)
+    assert counts == {"check_kernel_matrix": 2}
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan")])
@@ -372,33 +382,42 @@ def test_screen_advantage_rejects_indefinite_gram(rng):
 
 
 def test_metrics_on_a_spectrum_raise_as_on_the_gram():
-    # every check of the Gram-matrix path, with the same type and message
-    K3 = np.eye(3)
-    singular = np.diag([3.0, 0.0, 0.0])
+    # every check of the metrics, with its type and message
+    s3 = spectrum(np.eye(3))
+    singular = spectrum(np.diag([3.0, 0.0, 0.0]))
     cases = [
-        (lambda K: model_complexity(K, np.ones(4), 1.0), K3, DataError),
-        (lambda K: geometric_difference(K, np.eye(4), 1.0), K3, DataError),
-        (lambda K: geometric_difference(np.eye(4), K, 1.0), K3, DataError),
-        (lambda K: model_complexity(K, np.ones(3), -1.0), K3, ConfigError),
-        (lambda K: geometric_difference(K, K3, float("nan")), K3,
-         ConfigError),
-        (lambda K: model_complexity(K, np.ones(3), 0.0), singular, DataError),
-        (lambda K: geometric_difference(K, K3, 0.0), singular, DataError),
+        (lambda: model_complexity(s3, np.ones(4), 1.0), DataError,
+         "label vector length must match the kernel"),
+        (lambda: geometric_difference(s3, spectrum(np.eye(4)), 1.0),
+         DataError, "kernel matrices must have identical shape"),
+        (lambda: geometric_difference(spectrum(np.eye(4)), s3, 1.0),
+         DataError, "kernel matrices must have identical shape"),
+        (lambda: model_complexity(s3, np.ones(3), -1.0), ConfigError,
+         "lam must be finite and >= 0"),
+        (lambda: geometric_difference(s3, s3, float("nan")), ConfigError,
+         "lam must be finite and >= 0"),
+        (lambda: model_complexity(singular, np.ones(3), 0.0), DataError,
+         r"K \+ lam\*I is singular; use a positive lam"),
+        (lambda: geometric_difference(singular, s3, 0.0), DataError,
+         r"K \+ lam\*I is singular; use a positive lam"),
+        # lam is checked before the ridge it would make singular
+        (lambda: model_complexity(singular, np.ones(3), -1.0), ConfigError,
+         "lam must be finite and >= 0"),
+        (lambda: geometric_difference(singular, s3, -1.0), ConfigError,
+         "lam must be finite and >= 0"),
     ]
-    for call, K, error in cases:
-        with pytest.raises(error) as on_gram:
-            call(K)
-        with pytest.raises(error) as on_spectrum:
-            call(spectrum(K))
-        assert str(on_spectrum.value) == str(on_gram.value)
+    for call, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
     with pytest.raises(DataError, match="not PSD"):
         spectrum(np.diag([1.0, -0.5]))
 
 
 def test_metric_shape_validation():
+    s3 = spectrum(np.eye(3))
     with pytest.raises(DataError):
-        geometric_difference(np.eye(3), np.eye(4), 1.0)
+        geometric_difference(s3, spectrum(np.eye(4)), 1.0)
     with pytest.raises(DataError):
-        model_complexity(np.eye(3), np.ones(4), 1.0)
+        model_complexity(s3, np.ones(4), 1.0)
     with pytest.raises(ConfigError):
-        geometric_difference(np.eye(3), np.eye(3), -1.0)
+        geometric_difference(s3, s3, -1.0)

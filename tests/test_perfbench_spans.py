@@ -7,6 +7,7 @@ a ``perfbench/run.py --trace 1`` run.
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
             assert wrapped is not original
             assert wrapped.__wrapped__ is original
         features = importlib.import_module("motifqk.features")
-        emb = EmbeddingConfig("e1", reps=1, scale=1.0, test_mode=True)
+        emb = EmbeddingConfig("e1", reps=6, scale=math.pi / 2)
         features.project_features(np.array([[1, 0, 1]]), emb,
                                   BackendConfig.parse("obp:0"))
         obp_end = tracer.mark()
@@ -60,13 +61,13 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
                                "pauliprop.backprop"]
     assert tracer.spans[2].note["terms_out"] > 0
     # one build per exact sample and one simulation per distinct
-    # non-trivial cluster: [1, 0, 1] leaves three one-qubit clusters
-    # (H·RZ, H, H·RZ), two of them distinct
+    # non-trivial cluster: on [1, 0, 1] qubits 0 and 2 each run (H·RZ)^6
+    # alone and qubit 1's H^6 cancels, so one cluster circuit is read
     exact = names[obp_end:]
     assert exact[:2] == ["features.project", "circuits.build"]
     assert exact.count("circuits.build") == 1
-    assert exact.count("statevector.simulate") == 2
-    assert exact.count("statevector.expectation") == 6
+    assert exact.count("statevector.simulate") == 1
+    assert exact.count("statevector.expectation") == 3
 
 
 def test_screen_spans_nest_under_screen_advantage(monkeypatch):

@@ -218,6 +218,11 @@ def test_stratified_folds_error_single_member():
         stratified_folds(y, folds=3, seed=0)
 
 
+def test_stratified_folds_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="cv seed must be an int >= 0"):
+        stratified_folds(np.array([1, -1] * 4), folds=2, seed=-1)
+
+
 def test_stratified_folds_deterministic():
     y = np.array([1, -1] * 10)
     a, _ = stratified_folds(y, folds=5, seed=9)
