@@ -24,8 +24,9 @@ from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
 from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
     parse_scale, project_features
-from .kernels import KernelSpec, check_lam, geometric_difference, \
-    kernel_matrix, model_complexity, parse_gamma, spectrum
+from .kernels import KernelSpec, check_lam, check_ridge, \
+    geometric_difference, kernel_matrix, model_complexity, parse_gamma, \
+    spectrum
 from .svm import GridConfig, check_stopping, grid_search, predict, \
     smo_train, weighted_f1
 
@@ -217,9 +218,9 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
     The two Gram matrices use the same kernel spec, one on the raw bits and
     one on the projected features. g near sqrt(N) with a large classical
     complexity but small quantum complexity is the interesting regime. A
-    bad ``lam`` is refused before either Gram is decomposed; each Gram is
-    then validated and decomposed once, and g and both s_K read its
-    ``spectrum``.
+    bad ``lam`` is refused before either Gram is decomposed, and a singular
+    Kc + lam I before Kq is; each Gram is validated and decomposed once,
+    and g and both s_K read its ``spectrum``.
     """
     Xc = np.asarray(bits, dtype=np.float64)
     Fq = np.asarray(pqk_features, dtype=np.float64)
@@ -231,7 +232,9 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
     Kc = kernel_matrix(Xc, spec)
     Kq = kernel_matrix(Fq, spec)
     check_lam(lam)  # before the eigh of either Gram
-    c, q = spectrum(Kc), spectrum(Kq)
+    c = spectrum(Kc)
+    check_ridge(c, lam)  # before the eigh of Kq
+    q = spectrum(Kq)
     g = geometric_difference(c, q, lam)
     s_c = model_complexity(c, y, lam)
     s_q = model_complexity(q, y, lam)

@@ -204,7 +204,7 @@ def spectrum(K) -> Spectrum:
     return Spectrum(w, V)
 
 
-def _check_ridge(s: Spectrum, lam: float) -> None:
+def check_ridge(s: Spectrum, lam: float) -> None:
     """Reject a bad lam, then a singular K + lam I."""
     check_lam(lam)
     if s.w[0] + lam <= 1e-12:
@@ -226,7 +226,7 @@ def geometric_difference(c: Spectrum, q: Spectrum, lam: float = 0.0) -> float:
     mimic the quantum geometry; small values mean a classical model should
     match.
     """
-    _check_ridge(c, lam)
+    check_ridge(c, lam)
     if c.V.shape != q.V.shape:
         raise DataError("kernel matrices must have identical shape")
     B = (c.V * (np.clip(c.w, 0.0, None) / (c.w + lam) ** 2)) @ c.V.T
@@ -242,7 +242,7 @@ def model_complexity(s: Spectrum, y, lam: float = 0.0) -> float:
     sample (no generalization); small values mean the labels are easy for
     this geometry.
     """
-    _check_ridge(s, lam)
+    check_ridge(s, lam)
     N = len(s.w)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (N,):

@@ -373,6 +373,17 @@ def test_screen_advantage_singular_pqk_gram_fails_in_s_pqk(rng, monkeypatch):
     assert counts == {"model_complexity": 2}  # s_classical passed
 
 
+def test_screen_advantage_singular_classical_gram_fails_first(rng,
+                                                              monkeypatch):
+    bits, features, y = _one_hot_screen_inputs(rng)
+    bits = bits.copy()
+    bits[1] = bits[0]  # a repeated row makes Kc singular
+    counts = _count_calls(monkeypatch, np.linalg, "eigh")
+    with pytest.raises(DataError, match=r"K \+ lam\*I is singular"):
+        screen_advantage(bits, y, features, KernelSpec(kind="rbf"), 0.0)
+    assert counts == {"eigh": 1}  # Kq was never decomposed
+
+
 def test_screen_advantage_rejects_indefinite_gram(rng):
     bits, _, y = _one_hot_screen_inputs(rng)
     spec = KernelSpec(kind="sigmoid", gamma=1.0, coef0=-1.0)
