@@ -81,16 +81,13 @@ BLOCH_TOL = 1e-9
 
 
 def parse_scale(text: str) -> float:
-    """Rotation scale from its config spelling: pi, pi2 (pi/2), or a float."""
+    """Rotation scale from its config spelling: pi, or pi2 for pi/2, the
+    two ``PRODUCTION_SCALES``; any other text is a ``ConfigError``."""
     if text == "pi":
         return math.pi
     if text == "pi2":
         return math.pi / 2
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(
-            f"scale must be pi, pi2, or a float, got {text!r}") from None
+    raise ConfigError(f"scale must be pi or pi2, got {text!r}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,17 @@ score, but for the sign of a zero, which no comparison sees. That loop's
 grad starts at -1 and can only reach zero as +0.0, so the finish rebuilds
 it as -y * score + 0.0, and fits match the reference bit for bit.
 
+Interpreter overhead, not arithmetic, bounds the pair loop: an update
+costs about 2.1 us on the linear C = 2000 fold fit of the benchmark's
+gridsearch workload (N = 114, one core of a 2-vCPU Xeon), and about 3.2 us
+with max, min and ``_may_move`` called on every update. So the loop looks
+its numpy entry points up once per fit, hands the step coefficients to
+np.multiply as 0-d arrays, and writes the L/H clip and the may-move rule
+out as comparisons. Each comparison takes the same operands in the same
+order as the call it stands for, with the builtins' tie rule (max(a, b)
+keeps a unless b > a, min(a, b) keeps a unless b < a), so no bit of a fit
+moves.
+
 Grid search builds one Gram per kernel and fold, under stratified folds
 shared by every candidate, and hands it to the solver core for each
 distinct C. Results and tie-breaking do not depend on the order of the
@@ -218,29 +229,49 @@ def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
     # at y, since grad starts at -1
     sel = np.stack((np.where(up, yf, -math.inf),
                     np.where(down, -yf, -math.inf), yf))
-    pick, score = sel[:2], sel[2]
+    score = sel[2]
+    # the loop's numpy entry points, looked up once per fit; argmax writes
+    # the pair to ij, and the step coefficients reach np.multiply as 0-d
+    # arrays ci, cj, which it takes faster than a Python float of the same
+    # value
+    argmax, item, kitem = sel[:2].argmax, sel.item, K.item
+    mul, add = np.multiply, np.add
+    ij = np.empty(2, dtype=np.intp)
+    ci, cj = np.empty(()), np.empty(())
     # rows in place of columns: K is exactly symmetric
     rows = list(np.stack((K, -K, K), axis=1))
     step, step_j = np.empty((3, N)), np.empty((3, N))
+    hi = C - eps  # _may_move's upper bound
     reached_tol = stalled = False
     for _ in range(max_passes * N):
-        i, j = pick.argmax(axis=1).tolist()
-        m, M = sel.item(0, i), -sel.item(1, j)
+        argmax(1, ij)
+        i, j = ij.tolist()
+        m, M = item(0, i), -item(1, j)
         if m - M <= tol:
             reached_tol = True
             break
-        eta = K_diag[i] + K_diag[j] - 2.0 * K.item(i, j)
+        eta = K_diag[i] + K_diag[j] - 2.0 * kitem(i, j)
         if eta <= 0:
             eta = 1e-12
         yi, yj = ys[i], ys[j]
         ai_old, aj_old = alpha[i], alpha[j]
         if yi != yj:
-            L = max(0.0, aj_old - ai_old)
-            H = min(C, C + aj_old - ai_old)
+            L = aj_old - ai_old
+            H = C + aj_old - ai_old
         else:
-            L = max(0.0, ai_old + aj_old - C)
-            H = min(C, ai_old + aj_old)
-        aj = min(max(aj_old + yj * (M - m) / eta, L), H)
+            H = ai_old + aj_old
+            L = H - C
+        # L = max(0.0, L), H = min(C, H) and aj = min(max(aj, L), H),
+        # written out with the builtins' tie rules (module docstring)
+        if not L > 0.0:
+            L = 0.0
+        if not H < C:
+            H = C
+        aj = aj_old + yj * (M - m) / eta
+        if L > aj:
+            aj = L
+        if H < aj:
+            aj = H
         if abs(aj - aj_old) < 1e-15:
             warnings.warn("SMO stalled before reaching tolerance",
                           RuntimeWarning)
@@ -248,16 +279,22 @@ def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
             break
         ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        np.multiply(rows[i], -yi * (ai - ai_old), out=step)
-        step += np.multiply(rows[j], -yj * (aj - aj_old), out=step_j)
-        sel += step
-        for k, a in ((i, ai), (j, aj)):
-            may = _may_move(ys[k], a, C, eps)
-            if may != moves[k]:
-                moves[k] = may
-                s = score.item(k)
-                sel[0, k] = s if may[0] else -math.inf
-                sel[1, k] = -s if may[1] else -math.inf
+        ci[()] = -yi * (ai - ai_old)
+        cj[()] = -yj * (aj - aj_old)
+        mul(rows[i], ci, step)
+        mul(rows[j], cj, step_j)
+        add(step, step_j, step)
+        add(sel, step, sel)
+        # _may_move(y, a, C, eps) for i and j, written out
+        may_i = (ai < hi, ai > eps) if yi > 0 else (ai > eps, ai < hi)
+        may_j = (aj < hi, aj > eps) if yj > 0 else (aj > eps, aj < hi)
+        if may_i != moves[i] or may_j != moves[j]:
+            for k, may in ((i, may_i), (j, may_j)):
+                if may != moves[k]:
+                    moves[k] = may
+                    s = score.item(k)
+                    sel[0, k] = s if may[0] else -math.inf
+                    sel[1, k] = -s if may[1] else -math.inf
     alpha = np.array(alpha)
     up, down = (np.array(b) for b in zip(*moves))
     # the score row has lost the sign of a zero; grad never reaches -0.0

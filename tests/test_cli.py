@@ -81,6 +81,26 @@ def test_embed_bad_reps(tmp_path, encoded_csv):
     assert rc == 2
 
 
+def test_scale_other_than_pi_or_pi2_exits_2_naming_both(
+        tmp_path, encoded_csv, raw_csv, capsys):
+    # a float scale is refused where it is parsed, on the flag and in an
+    # INI alike, with one message that names the two spellings
+    out = tmp_path / "f.csv"
+    rc = main(["embed", "--input", str(encoded_csv), "--output", str(out),
+               "--embedding", "e1", "--reps", "6", "--scale", "1.5",
+               "--backend", "obp:0.05", "--seed", "0"])
+    assert rc == 2
+    assert "scale must be pi or pi2, got '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+    ini = _report_ini(tmp_path, raw_csv)
+    ini.write_text(ini.read_text().replace("scale = pi2", "scale = 1.5"))
+    outdir = tmp_path / "out"
+    rc = main(["report", "--config", str(ini), "--output-dir", str(outdir)])
+    assert rc == 2
+    assert "scale must be pi or pi2, got '1.5'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--embedding", "e1", "--reps", "6", "--steps", "4"],
     ["--embedding", "e2", "--steps", "4", "--reps", "6"],

@@ -439,6 +439,20 @@ def _fit_record(train, X, y, spec, C, max_passes):
 # no free alpha and both extreme scores -0.0: the bias must stay -0.0
 @example(n=8, d=2, kernel="linear", C=1.0, max_passes=200, binary=True,
          scale=1.0, n_dup=1, seed=299)
+# one draw per clip of the pair step, each onto a bound computed from the
+# old alphas rather than onto 0 or C:
+# aj clipped at L = aj_old - ai_old > 0, yi != yj
+@example(n=3, d=1, kernel="linear", C=1.0, max_passes=200, binary=False,
+         scale=1.0, n_dup=0, seed=3)
+# aj clipped at H = C + aj_old - ai_old < C, yi != yj
+@example(n=3, d=1, kernel="linear", C=2000.0, max_passes=200, binary=False,
+         scale=1.0, n_dup=0, seed=1)
+# aj clipped at L = ai_old + aj_old - C > 0, yi = yj
+@example(n=4, d=1, kernel="linear", C=1.0, max_passes=200, binary=False,
+         scale=1.0, n_dup=0, seed=2)
+# aj clipped at H = ai_old + aj_old < C, yi = yj
+@example(n=3, d=1, kernel="sigmoid", C=1.0, max_passes=200, binary=False,
+         scale=1.0, n_dup=0, seed=3)
 @settings(deadline=None)
 def test_smo_matches_reference_bit_for_bit(n, d, kernel, C, max_passes,
                                            binary, scale, n_dup, seed):
