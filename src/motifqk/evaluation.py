@@ -227,7 +227,7 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
     y = np.asarray(y, dtype=np.float64)
     if Xc.shape[0] != Fq.shape[0] or y.shape != (Xc.shape[0],):
         raise DataError("bits, features, and labels must align")
-    if not np.isin(y, (-1, 1)).all():
+    if not ((y == 1) | (y == -1)).all():
         raise DataError("labels must be -1/+1")
     Kc = kernel_matrix(Xc, spec)
     Kq = kernel_matrix(Fq, spec)

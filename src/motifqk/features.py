@@ -218,7 +218,7 @@ def _check_bits(bits) -> np.ndarray:
     X = np.asarray(bits)
     if X.ndim != 2 or X.size == 0:
         raise DataError("expected a nonempty 2-D bit matrix")
-    if not np.isin(X, (0, 1)).all():
+    if not ((X == 0) | (X == 1)).all():
         raise DataError("bit matrix entries must be 0/1")
     return X.astype(np.float64)
 

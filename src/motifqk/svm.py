@@ -3,11 +3,15 @@
 The solver keeps the full gradient and always optimizes the maximal
 violating pair, stopping when the duality-gap bound m - M drops below tol;
 that guarantees the KKT conditions hold within tol for the returned bias.
+An index may move up (y * alpha may grow) when y > 0 and alpha < C - eps
+or y < 0 and alpha > eps, and down when y > 0 and alpha > eps or y < 0 and
+alpha < C - eps, with eps = 1e-12. A C <= eps is refused: no alpha could
+leave 0.
 
 One pair update costs a fixed number of numpy calls on one (3, N)
 selection array, updated in place: sel = [score | up, -(score | down),
 score], where score = -y * grad and "| up" puts -inf on an index whose
-alpha may not move up (``_may_move``). One argmax over its first two rows
+alpha may not move up. One argmax over its first two rows
 gives the pair (i, j), with m = sel[0, i], M = -sel[1, j] and Ei - Ej =
 M - m. A step adds K[i] * c_i + K[j] * c_j to every row, with c = -y *
 (alpha_new - alpha_old), read as rows of the stacked [K, -K, K]:
@@ -28,8 +32,8 @@ it as -y * score + 0.0, and fits match the reference bit for bit.
 Interpreter overhead, not arithmetic, bounds the pair loop: an update
 costs about 2.1 us on the linear C = 2000 fold fit of the benchmark's
 gridsearch workload (N = 114, one core of a 2-vCPU Xeon), and about 3.2 us
-with max, min and ``_may_move`` called on every update. So the loop looks
-its numpy entry points up once per fit, hands the step coefficients to
+with max, min and a may-move function called on every update. So the loop
+looks its numpy entry points up once per fit, hands the step coefficients to
 np.multiply as 0-d arrays, and writes the L/H clip and the may-move rule
 out as comparisons. Each comparison takes the same operands in the same
 order as the call it stands for, with the builtins' tie rule (max(a, b)
@@ -37,9 +41,29 @@ keeps a unless b > a, min(a, b) keeps a unless b < a), so no bit of a fit
 moves.
 
 Grid search builds one Gram per kernel and fold, under stratified folds
-shared by every candidate, and hands it to the solver core for each
-distinct C. Results and tie-breaking do not depend on the order of the
-fits, so they are exactly reproducible.
+shared by every candidate, and fits its distinct C values in ascending
+order. Fits along the C axis share their path (Hastie et al., JMLR 5,
+1391 (2004)), and in this loop the sharing is exact. The pair loop
+(``_smo_loop``) reads C in three tests only: the upper clip H, the lower
+clip L and the may-move bound C - eps. It sets ``bound`` when one of them
+comes out on a bound that C sets:
+- aj clipped at an H built from C: C + aj_old - ai_old (yi != yj), or C
+  itself (yi = yj with ai_old + aj_old >= C), which puts aj at C and so
+  is caught by the third test;
+- aj clipped at L = ai_old + aj_old - C > 0 (yi = yj);
+- an alpha reaching C - eps, which closes a may-move flag at the top.
+Each bound is monotone in C, and so is rounding: at a larger C' every H is
+at least as large, every L at most as large (and 0 where it was 0), and
+C' - eps >= C - eps. So a test that stayed off its bound at C stays off
+it at C', every branch goes the same way with the same floats, and the
+loop at C' would end with the same alpha, score row, may-move flags and
+exit (tol, stall or max_passes), bit for bit. Then only the finish
+(``_smo_finish``) reads C: the free and bound thresholds, the bias, the KKT
+check and the support set. Grid search therefore reruns the loop only
+after a run that set ``bound``; every model still equals a fresh
+``smo_train`` at its C. ``bound`` is set inside branches the loop rarely
+takes, so an update costs what it did. Results and tie-breaking do not
+depend on the order of the fits, so they are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -48,6 +72,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,12 +158,15 @@ class SvmModel:
                 raise DataError(f"{path}: {exc}") from None
 
 
-def _may_move(y: float, a: float, C: float, eps: float) -> tuple[bool, bool]:
-    """The maximal-violating-pair rule for one index: whether its alpha may
-    move up and whether it may move down."""
-    up = a < C - eps if y > 0 else a > eps
-    down = a > eps if y > 0 else a < C - eps
-    return up, down
+_EPS = 1e-12  # the solver's eps: how close to 0 or C an alpha counts as there
+
+
+def check_c(C: float) -> None:
+    """Reject a box bound C: it must be finite and above the solver's eps,
+    since at C <= eps no alpha can leave 0."""
+    if not (math.isfinite(C) and C > _EPS):
+        raise ConfigError(
+            f"C must be finite and > {_EPS:g} (the SMO eps), got {C!r}")
 
 
 def _violating_pair(score, up, down):
@@ -188,7 +216,7 @@ def _checked_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise DataError("X must be 2-D with one label per row")
-    if not np.isin(y, (-1, 1)).all():
+    if not ((y == 1) | (y == -1)).all():
         raise DataError("labels must be -1/+1")
     if len(np.unique(y)) < 2:
         raise DataError("training data must contain both classes")
@@ -207,28 +235,43 @@ def smo_train(X, y, spec: KernelSpec, C: float, tol: float = 1e-3,
     """
     X, y = _checked_rows(X, y)
     gamma = resolve_gamma(spec, X)
-    return _smo_fit(X, y, kernel_matrix(X, spec, gamma=gamma), spec, gamma,
-                    C, tol, max_passes)
+    run = _smo_loop(kernel_matrix(X, spec, gamma=gamma), y, C, tol,
+                    max_passes)
+    return _smo_finish(run, X, spec, gamma, C, tol)
 
 
-def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
-             max_passes: int) -> SvmModel:
-    """``smo_train`` on checked rows and their Gram K, built with ``gamma``."""
-    if not (math.isfinite(C) and C > 0):
-        raise ConfigError("C must be positive and finite")
+class _Run(NamedTuple):
+    """What one pair loop leaves for ``_smo_finish``, which reads C; the
+    same run serves every larger C when ``bound`` is False."""
+
+    yf: np.ndarray
+    alpha: np.ndarray
+    coef: np.ndarray  # alpha * y
+    score: np.ndarray  # -y * grad
+    up: np.ndarray  # the final may-move flags
+    down: np.ndarray
+    f: np.ndarray | None  # K @ coef when the loop reached tol, else None
+    warning: str | None  # the fit's convergence warning, None if converged
+    bound: bool  # a test read a bound that C sets (module docstring)
+
+
+def _smo_loop(K, y, C: float, tol: float, max_passes: int) -> _Run:
+    """The pair loop of ``smo_train`` on the Gram K of rows labelled y."""
+    check_c(C)
     check_stopping(tol, max_passes)
-    N = X.shape[0]
+    N = K.shape[0]
     yf = y.astype(np.float64)
-    eps = 1e-12
+    eps = _EPS
     ys = yf.tolist()
     K_diag = K.diagonal().tolist()
     alpha = [0.0] * N
-    moves = [_may_move(yk, 0.0, C, eps) for yk in ys]
-    up, down = (np.array(b) for b in zip(*moves))
+    # the may-move flags (module docstring) at alpha = 0, for any C > eps:
+    # up iff y > 0, down iff y < 0
+    moves = [(yk > 0, yk < 0) for yk in ys]
     # the selection array of the module docstring; score = -y * grad starts
     # at y, since grad starts at -1
-    sel = np.stack((np.where(up, yf, -math.inf),
-                    np.where(down, -yf, -math.inf), yf))
+    sel = np.stack((np.where(yf > 0, yf, -math.inf),
+                    np.where(yf < 0, -yf, -math.inf), yf))
     score = sel[2]
     # the loop's numpy entry points, looked up once per fit; argmax writes
     # the pair to ij, and the step coefficients reach np.multiply as 0-d
@@ -241,8 +284,8 @@ def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
     # rows in place of columns: K is exactly symmetric
     rows = list(np.stack((K, -K, K), axis=1))
     step, step_j = np.empty((3, N)), np.empty((3, N))
-    hi = C - eps  # _may_move's upper bound
-    reached_tol = stalled = False
+    hi = C - eps  # the may-move rule's upper bound
+    reached_tol = stalled = bound = False
     for _ in range(max_passes * N):
         argmax(1, ij)
         i, j = ij.tolist()
@@ -270,11 +313,13 @@ def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
         aj = aj_old + yj * (M - m) / eta
         if L > aj:
             aj = L
+            if L > 0.0 and yi == yj:  # L = ai_old + aj_old - C
+                bound = True
         if H < aj:
             aj = H
+            if yi != yj:  # H = C + aj_old - ai_old; a clip at H = C is
+                bound = True  # caught below, as aj reaches C - eps
         if abs(aj - aj_old) < 1e-15:
-            warnings.warn("SMO stalled before reaching tolerance",
-                          RuntimeWarning)
             stalled = True
             break
         ai = ai_old + yi * yj * (aj_old - aj)
@@ -285,7 +330,7 @@ def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
         mul(rows[j], cj, step_j)
         add(step, step_j, step)
         add(sel, step, sel)
-        # _may_move(y, a, C, eps) for i and j, written out
+        # the may-move rule for i and j, written out
         may_i = (ai < hi, ai > eps) if yi > 0 else (ai > eps, ai < hi)
         may_j = (aj < hi, aj > eps) if yj > 0 else (aj > eps, aj < hi)
         if may_i != moves[i] or may_j != moves[j]:
@@ -295,32 +340,47 @@ def _smo_fit(X, y, K, spec: KernelSpec, gamma: float, C: float, tol: float,
                     s = score.item(k)
                     sel[0, k] = s if may[0] else -math.inf
                     sel[1, k] = -s if may[1] else -math.inf
+            if not (ai < hi and aj < hi):  # a flag closed at C - eps
+                bound = True
     alpha = np.array(alpha)
     up, down = (np.array(b) for b in zip(*moves))
     # the score row has lost the sign of a zero; grad never reaches -0.0
     # (it starts at -1), so adding 0.0 rebuilds it bit for bit
     grad = -yf * score + 0.0
     score = -yf * grad
-    converged = reached_tol
-    if not (reached_tol or stalled):  # ran all max_passes * N updates
+    warning = None
+    if stalled:
+        warning = "SMO stalled before reaching tolerance"
+    elif not reached_tol:  # ran all max_passes * N updates
         m, M = _violating_pair(score, up, down)
-        converged = m - M <= tol
-        if not converged:
-            warnings.warn(
-                f"SMO hit max_passes with duality gap {m - M:.3e} > {tol}",
-                RuntimeWarning)
-    free = (alpha > C * 1e-8) & (alpha < C * (1.0 - 1e-8))
-    if free.any():
-        bias = float(np.mean(score[free]))
-    else:
-        m, M = _violating_pair(score, up, down)
-        bias = (m + M) / 2.0
-    margins = yf * (K @ (alpha * yf) + bias) if reached_tol else None
-    _check_solution(alpha, yf, margins, C, tol + 1e-8)
+        if not m - M <= tol:
+            warning = (f"SMO hit max_passes with duality gap {m - M:.3e} "
+                       f"> {tol}")
+    coef = alpha * yf
+    return _Run(yf, alpha, coef, score, up, down,
+                K @ coef if reached_tol else None, warning, bound)
+
+
+def _smo_finish(run: _Run, X, spec: KernelSpec, gamma: float, C: float,
+                tol: float) -> SvmModel:
+    """The model of a pair loop ``run`` at C, which it must be valid for;
+    X holds the rows of its Gram, built with ``gamma``."""
+    if run.warning is not None:
+        warnings.warn(run.warning, RuntimeWarning)
+    alpha, yf, score = run.alpha, run.yf, run.score
     sv = alpha > C * 1e-8
+    free = sv & (alpha < C * (1.0 - 1e-8))
+    n_free = np.count_nonzero(free)
+    if n_free:  # np.mean(score[free]), bit for bit
+        bias = float(score[free].sum() / n_free)
+    else:
+        m, M = _violating_pair(score, run.up, run.down)
+        bias = (m + M) / 2.0
+    margins = None if run.f is None else yf * (run.f + bias)
+    _check_solution(alpha, yf, margins, C, tol + 1e-8)
     idx = np.flatnonzero(sv)
-    return SvmModel(spec, float(C), gamma, idx,
-                    (alpha * yf)[idx], X[idx].copy(), bias, converged)
+    return SvmModel(spec, float(C), gamma, idx, run.coef[idx],
+                    X[idx].copy(), bias, run.warning is None)
 
 
 def decision_function(model: SvmModel, X) -> np.ndarray:
@@ -350,9 +410,10 @@ def weighted_f1(y_true, y_pred) -> float:
         raise DataError("weighted_f1 needs equal-length nonempty vectors")
     total = 0.0
     for lab in np.unique(t):
-        tp = int(((t == lab) & (p == lab)).sum())
-        fp = int(((t != lab) & (p == lab)).sum())
-        fn = int(((t == lab) & (p != lab)).sum())
+        is_t, is_p = t == lab, p == lab
+        tp = np.count_nonzero(is_t & is_p)
+        fp = np.count_nonzero(is_p) - tp
+        fn = np.count_nonzero(is_t) - tp
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
@@ -393,8 +454,7 @@ class GridConfig:
         if not self.kernels or not self.c_values or not self.gamma_values:
             raise ConfigError("grid axes must be nonempty")
         for c in self.c_values:
-            if not (math.isfinite(c) and c > 0):
-                raise ConfigError(f"bad C value {c!r}")
+            check_c(c)
         for kind in self.kernels:
             for gamma in self.gamma_values:
                 KernelSpec(kind, gamma, self.degree, self.coef0)
@@ -458,9 +518,10 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
 
     Candidates that agree on C and on the ``KERNEL_FIELDS`` of their kind
     are evaluated once and share their scores. Each kernel key and fold
-    builds one Gram, the one ``smo_train`` would build, and fits every
-    distinct C on it, which leaves per-candidate results identical to the
-    brute-force sweep.
+    builds one Gram, the one ``smo_train`` would build, and fits its
+    distinct C values on it in ascending order, rerunning the pair loop only
+    after a run that a C bound touched (module docstring). Per-candidate
+    results are identical to the brute-force sweep.
     """
     X, y = _checked_rows(X, y)
     assign, folds_eff = stratified_folds(y, folds, seed)
@@ -472,16 +533,19 @@ def grid_search(X, y, grid: GridConfig, folds: int = 10, seed: int = 0,
         keys.setdefault(key, (spec, {}))[1].setdefault(C, []).append(idx)
     scores = np.empty((len(cands), folds_eff))
     nonconverged = 0
+    fold_rows = [(X[assign != f], y[assign != f], X[assign == f],
+                  y[assign == f]) for f in range(folds_eff)]
     for spec, by_c in keys.values():
-        for f in range(folds_eff):
-            tr, te = assign != f, assign == f
-            X_tr, y_tr = X[tr], y[tr]
+        for f, (X_tr, y_tr, X_te, y_te) in enumerate(fold_rows):
             gamma = resolve_gamma(spec, X_tr)
             K = kernel_matrix(X_tr, spec, gamma=gamma)
-            for C, idx in by_c.items():
-                model = _smo_fit(X_tr, y_tr, K, spec, gamma, C, tol, max_passes)
+            run = None
+            for C in sorted(by_c):  # a run no C bound touched serves them all
+                if run is None or run.bound:
+                    run = _smo_loop(K, y_tr, C, tol, max_passes)
+                model = _smo_finish(run, X_tr, spec, gamma, C, tol)
                 nonconverged += not model.converged
-                scores[idx, f] = weighted_f1(y[te], predict(model, X[te]))
+                scores[by_c[C], f] = weighted_f1(y_te, predict(model, X_te))
             del K  # one Gram alive at a time
     means = scores.mean(axis=1)
     best = int(np.argmax(means))  # the first maximum: ties keep the earliest

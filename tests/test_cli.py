@@ -450,6 +450,27 @@ def test_screen_rejects_bad_flag_before_projecting(tmp_path, encoded_csv,
     assert calls == []
 
 
+@pytest.mark.parametrize("c", ["1e-13", "1e-12"])
+def test_c_at_or_below_the_solver_eps_exits_2_naming_it(
+        tmp_path, feature_csv, raw_csv, capsys, c):
+    # at C <= 1e-12, the solver's eps, no alpha can leave 0, and every fit
+    # ended in a SolverError (exit 5); the flag and an INI C are refused
+    model = tmp_path / "model.json"
+    rc = main(["train", "--features", str(feature_csv), "--output",
+               str(model), "--kernel", "rbf", "--c", c])
+    assert rc == 2
+    assert "C must be finite and > 1e-12" in capsys.readouterr().err
+    assert not model.exists()
+    ini = _report_ini(tmp_path, raw_csv)
+    ini.write_text(ini.read_text().replace("c_values = 1.0",
+                                           f"c_values = 1.0,{c}"))
+    outdir = tmp_path / "out"
+    rc = main(["report", "--config", str(ini), "--output-dir", str(outdir)])
+    assert rc == 2
+    assert "C must be finite and > 1e-12" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def _report_ini(tmp_path, raw_csv, **protocol):
     cp = configparser.ConfigParser()
     cp["dataset"] = {"path": str(raw_csv)}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import motifqk
@@ -537,6 +537,137 @@ def test_smo_matches_reference_when_an_alpha_may_move_neither_way(
     assert (stuck & (a > C * 1e-8) & (a < C * (1.0 - 1e-8))).sum() == 2
     assert (_fit_record(smo_train, X, y, spec, C, 200)
             == _fit_record(reference_smo_train, X, y, spec, C, 200))
+
+
+def _grid_fold_records(X, y, kernel, c_values, max_passes):
+    """Every model a 2-fold ``grid_search`` scores, in its order of fits,
+    as a ``_model_record``, then the SolverError that ended the search,
+    if one did, with the warnings emitted since the last model."""
+    seen = []
+    real_predict = svm.predict
+    grid = GridConfig(kernels=(kernel,), c_values=tuple(c_values),
+                      gamma_values=("scale",))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+
+        def recording(model, X_te):
+            seen.append((model, len(caught)))
+            return real_predict(model, X_te)
+        svm.predict = recording
+        try:
+            grid_search(X, y, grid, folds=2, seed=0, max_passes=max_passes)
+        except SolverError as exc:
+            seen.append((("SolverError", str(exc)), len(caught)))
+        finally:
+            svm.predict = real_predict
+    out, start = [], 0
+    for model, end in seen:
+        out.append(_model_record(model, caught[start:end]))
+        start = end
+    return out
+
+
+def _model_record(model, caught):
+    """A fit's support set, dual coefficient and bias bytes and
+    ``converged``, or the error it raised, plus its warnings."""
+    if isinstance(model, SvmModel):
+        model = (model.support_idx.tolist(), model.dual_coef.tobytes(),
+                 np.float64(model.bias).tobytes(), model.converged)
+    return model, [(w.category, str(w.message)) for w in caught]
+
+
+def _fresh_fold_records(X, y, kernel, c_values, max_passes):
+    """``_grid_fold_records`` from a fresh ``smo_train`` per fold and C."""
+    assign, _ = stratified_folds(y, 2, 0)
+    out = []
+    for f in range(2):
+        tr = assign != f
+        for C in c_values:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    model = smo_train(X[tr], y[tr], BIT_IDENTITY_SPECS[kernel],
+                                      C, max_passes=max_passes)
+                except SolverError as exc:
+                    model = ("SolverError", str(exc))
+            out.append(_model_record(model, caught))
+            if not isinstance(model, SvmModel):
+                return out
+    return out
+
+
+@given(n=st.integers(4, 40), d=st.integers(1, 6),
+       kernel=st.sampled_from(sorted(BIT_IDENTITY_SPECS)),
+       c_values=st.lists(st.sampled_from(sorted(set(C_VALUES))), min_size=1,
+                         max_size=5, unique=True).map(sorted),
+       max_passes=st.sampled_from([0, 1, 200]), binary=st.booleans(),
+       scale=st.sampled_from([1.0, 1e8]), n_dup=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+# one draw per exit that a fold shares, found with a copy of the pair loop
+# that records which C-bound tests fired: fold 0 binds nothing at its
+# smallest C and the larger ones reuse a run that reached tol (sigmoid on
+# one-hot rows with duplicates), stalled (linear at scale 1e8) or stopped
+# at max_passes (rbf at scale 1e8 with duplicates)
+@example(n=6, d=2, kernel="sigmoid", c_values=[12.5, 14.75, 700.0],
+         max_passes=1, binary=True, scale=1.0, n_dup=3, seed=540)
+@example(n=30, d=1, kernel="linear", c_values=[5.0, 7.5, 1300.0],
+         max_passes=1, binary=False, scale=1e8, n_dup=0, seed=355)
+@example(n=29, d=6, kernel="rbf", c_values=[11.25, 12.75, 1700.0],
+         max_passes=1, binary=False, scale=1e8, n_dup=4, seed=281)
+@settings(deadline=None)
+def test_grid_search_fits_equal_fresh_fits_along_the_c_axis(
+        n, d, kernel, c_values, max_passes, binary, scale, n_dup, seed):
+    # grid_search reuses one pair loop for every larger C of a fold when
+    # no C bound touched it (svm module docstring); each model it scores
+    # must still be a fresh smo_train at its C, bit for bit
+    X, y = _bit_identity_problem(n, d, binary, scale, n_dup, seed)
+    assume(min((y == 1).sum(), (y == -1).sum()) >= 2)  # 2 folds, no warning
+    assert (_grid_fold_records(X, y, kernel, c_values, max_passes)
+            == _fresh_fold_records(X, y, kernel, c_values, max_passes))
+
+
+# (_bit_identity_problem draw, C axis), each searched for with a copy of
+# the pair loop that records which C-bound tests fired, on linear 2-fold
+# grids (cv seed 0)
+_LOOP_RUN_DRAWS = {
+    # neither fold binds anything at C = 1: one loop run per fold
+    "none": ((4, 2, False, 1.0, 0, 1), (1.0, 10.0, 100.0),
+             [1.0, 1.0]),
+    # fold 0 at C = 1.5e-12: an alpha reaches C - eps with no clip at a
+    # bound of C; fold 1 binds nothing
+    "top": ((4, 1, False, 1e8, 1, 1), (1.5e-12, 3e-12),
+            [1.5e-12, 3e-12, 1.5e-12]),
+    # fold 0 at C = 1e6: aj clipped at H = C + aj_old - ai_old (yi != yj),
+    # and rounding leaves ai below C - eps; fold 1 binds nothing
+    "H": ((10, 1, False, 1.0, 3, 36), (1e6, 2e6), [1e6, 2e6, 1e6]),
+    # fold 0 at C = 1e6: aj clipped at L = ai_old + aj_old - C > 0, and
+    # rounding leaves ai below C - eps; fold 1 binds at both C
+    "L": ((10, 2, False, 1e-3, 0, 1484), (1e6, 2e6),
+          [1e6, 2e6, 1e6, 2e6]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOP_RUN_DRAWS))
+def test_grid_search_reruns_the_pair_loop_only_after_a_c_bound(
+        kind, monkeypatch):
+    # an H or L clip at a bound that C sets leaves the other alpha at C up
+    # to rounding, so an alpha nearly always reaches C - eps with it; the
+    # H and L draws are the rare ones where rounding keeps it below
+    problem, c_values, want = _LOOP_RUN_DRAWS[kind]
+    X, y = _bit_identity_problem(*problem)
+    runs = []
+    loop = svm._smo_loop
+
+    def counting(K, y, C, tol, max_passes):
+        runs.append(C)
+        return loop(K, y, C, tol, max_passes)
+    monkeypatch.setattr(svm, "_smo_loop", counting)
+    grid = GridConfig(kernels=("linear",), c_values=c_values,
+                      gamma_values=("scale",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid_search(X, y, grid, folds=2, seed=0)
+    assert runs == want
 
 
 def test_kkt_conditions_hold(rng):
