@@ -14,7 +14,7 @@ from .pauliprop import (ObservableSum, PauliString, backpropagate_observable,
 from .features import (BackendConfig, EmbeddingConfig, feature_names,
                        load_feature_csv, project_features, write_feature_csv)
 from .kernels import (KernelSpec, Spectrum, geometric_difference,
-                      jacobi_eigh, kernel_matrix, model_complexity, psd_sqrt,
+                      jacobi_eigh, kernel_matrix, model_complexity,
                       resolve_gamma, spectrum)
 from .svm import (GridConfig, GridSearchResult, SvmModel, grid_search,
                   predict, smo_train, stratified_folds, weighted_f1)

@@ -2,8 +2,10 @@
 
 Each CLI-facing failure mode gets its own class so the entry point can map
 exceptions to stable exit codes. ``check_seed`` is the one rule for every
-seed a config or call takes, so that a bad seed is a ``ConfigError`` where
-the config is built rather than a numpy error where the seed is consumed.
+seed a config or call takes, and ``check_count`` for every count of folds,
+splits or passes, so that a bad value is a ``ConfigError`` where the config
+is built rather than a numpy error, or a silent rounding, where it is
+consumed.
 """
 
 import numbers
@@ -33,3 +35,10 @@ def check_seed(seed, name: str = "seed") -> None:
     """Reject a seed that is not an int >= 0, the seeds numpy accepts."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ConfigError(f"{name} must be an int >= 0, got {seed!r}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Reject a count that is not an int >= minimum; a bool is no count."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       and value >= minimum):
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")

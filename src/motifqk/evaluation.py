@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_seed
+from .errors import ConfigError, DataError, check_count, check_seed
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
 from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
@@ -44,15 +44,20 @@ class SplitPlan:
     splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
+def check_split_plan(n_splits, train_frac) -> None:
+    """Reject a split count that is not an int >= 1, or a train share
+    outside (0, 1)."""
+    check_count(n_splits, "n_splits", 1)
+    if not (0.0 < train_frac < 1.0):
+        raise ConfigError("train_frac must be in (0, 1)")
+
+
 def make_splits(n_samples: int, n_splits: int = 10, train_frac: float = 0.7,
                 seed: int = 0) -> SplitPlan:
     """Seeded random splits; indices are sorted within each side."""
     if n_samples < 2:
         raise ConfigError("need at least 2 samples to split")
-    if not (0.0 < train_frac < 1.0):
-        raise ConfigError("train_frac must be in (0, 1)")
-    if n_splits < 1:
-        raise ConfigError("n_splits must be >= 1")
+    check_split_plan(n_splits, train_frac)
     check_seed(seed, "split seed")
     n_train = math.floor(train_frac * n_samples)
     if n_train < 1 or n_train >= n_samples:
@@ -116,8 +121,8 @@ class ExperimentConfig:
         check_stopping(self.smo_tol, self.smo_max_passes)
         check_seed(self.split_seed, "split_seed")
         check_seed(self.cv_seed, "cv_seed")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
+        check_split_plan(self.n_splits, self.train_frac)
+        check_count(self.cv_folds, "cv_folds", 2)
         if self.feature_order not in FEATURE_ORDERS:
             raise ConfigError(
                 f"feature_order must be one of {FEATURE_ORDERS}, "

@@ -98,9 +98,10 @@ def kernel_matrix(X, spec: KernelSpec, Y=None, gamma=None) -> np.ndarray:
         if spec.kind == "linear":
             K = X @ Y.T
         elif spec.kind == "rbf":
-            sq = (np.sum(X * X, axis=1)[:, None]
-                  + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T))
-            K = np.exp(-g * np.clip(sq, 0.0, None))
+            nx = np.sum(X * X, axis=1)
+            ny = nx if square else np.sum(Y * Y, axis=1)
+            sq = nx[:, None] + ny[None, :] - 2.0 * (X @ Y.T)
+            K = np.exp(-g * np.maximum(sq, 0.0))
         elif spec.kind == "poly":
             K = (g * (X @ Y.T) + spec.coef0) ** spec.degree
         else:
@@ -189,7 +190,7 @@ class Spectrum:
 
 
 def spectrum(K) -> Spectrum:
-    """The one ``eigh`` of a Gram matrix that g, s_K and ``psd_sqrt`` share.
+    """The one ``eigh`` of a Gram matrix that g and s_K share.
 
     K must be square, symmetric, finite and PSD; it is rescaled to trace N,
     the convention behind g and s_K values, before one ``eigh``.
@@ -211,13 +212,6 @@ def check_ridge(s: Spectrum, lam: float) -> None:
         raise DataError("K + lam*I is singular; use a positive lam")
 
 
-def psd_sqrt(s: Spectrum) -> np.ndarray:
-    """Symmetric PSD square root of the trace-normalized Gram matrix a
-    Spectrum describes; small negative eigenvalues are clipped to zero."""
-    root = (s.V * np.sqrt(np.clip(s.w, 0.0, None))) @ s.V.T
-    return (root + root.T) / 2.0
-
-
 def geometric_difference(c: Spectrum, q: Spectrum, lam: float = 0.0) -> float:
     """g(Kc, Kq) = sqrt ||sqrt(Kq) sqrt(Kc) (Kc + lam I)^-2 sqrt(Kc) sqrt(Kq)||
     on the ``spectrum`` of each Gram, so both are trace-normalized to N.
@@ -225,13 +219,17 @@ def geometric_difference(c: Spectrum, q: Spectrum, lam: float = 0.0) -> float:
     Large values (on the order of sqrt(N)) mean the classical kernel cannot
     mimic the quantum geometry; small values mean a classical model should
     match.
+
+    The matrix in the norm is Vq A^T A Vq^T for A = diag(sqrt(d)) Vc^T Vq
+    diag(sqrt(wq)), d = wc / (wc + lam)^2, both spectra clipped at zero; its
+    largest eigenvalue is that of the symmetric A A^T.
     """
     check_ridge(c, lam)
     if c.V.shape != q.V.shape:
         raise DataError("kernel matrices must have identical shape")
-    B = (c.V * (np.clip(c.w, 0.0, None) / (c.w + lam) ** 2)) @ c.V.T
-    Sq = psd_sqrt(q)
-    return math.sqrt(max(float(np.linalg.eigvalsh(Sq @ B @ Sq)[-1]), 0.0))
+    d = np.clip(c.w, 0.0, None) / (c.w + lam) ** 2
+    A = np.sqrt(d)[:, None] * (c.V.T @ q.V) * np.sqrt(np.clip(q.w, 0.0, None))
+    return math.sqrt(max(float(np.linalg.eigvalsh(A @ A.T)[-1]), 0.0))
 
 
 def model_complexity(s: Spectrum, y, lam: float = 0.0) -> float:

@@ -76,7 +76,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SolverError, check_seed
+from .errors import ConfigError, DataError, SolverError, check_count, \
+    check_seed
 from .kernels import KERNEL_FIELDS, KERNEL_KINDS, KernelSpec, kernel_matrix, \
     resolve_gamma
 
@@ -207,8 +208,7 @@ def check_stopping(tol: float, max_passes: int) -> None:
     max_passes an int >= 0."""
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("tol must be finite and > 0")
-    if not (isinstance(max_passes, int) and max_passes >= 0):
-        raise ConfigError("max_passes must be an int >= 0")
+    check_count(max_passes, "max_passes", 0)
 
 
 def _checked_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -490,8 +490,7 @@ def stratified_folds(y, folds: int, seed: int):
     warning when the rarest class has fewer members than requested.
     """
     y = np.asarray(y)
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
+    check_count(folds, "folds", 2)
     check_seed(seed, "cv seed")
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2:

@@ -471,7 +471,15 @@ def test_experiment_config_rejects_nonpositive_n_jobs():
     ("cv_folds", 1, "cv_folds"), ("smo_tol", -1.0, "tol"),
     ("smo_tol", math.nan, "tol"), ("smo_max_passes", -5, "max_passes"),
     ("split_seed", -3, "split_seed must be an int >= 0"),
-    ("cv_seed", -2, "cv_seed must be an int >= 0")])
+    ("cv_seed", -2, "cv_seed must be an int >= 0"),
+    # a count that is no int is refused, not rounded down or run as 1
+    ("cv_folds", 2.5, "cv_folds must be an int >= 2, got 2.5"),
+    ("n_splits", 2.5, "n_splits must be an int >= 1, got 2.5"),
+    ("n_splits", True, "n_splits must be an int >= 1, got True"),
+    ("smo_max_passes", True, "max_passes must be an int >= 0, got True"),
+    ("n_splits", 0, "n_splits must be an int >= 1, got 0"),
+    ("train_frac", 1.0, "train_frac"), ("train_frac", 0.0, "train_frac"),
+    ("train_frac", math.nan, "train_frac")])
 def test_experiment_config_rejects_a_bad_protocol(field, value, match):
     with pytest.raises(ConfigError, match=match):
         _synthetic_config(**{field: value})

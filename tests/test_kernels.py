@@ -7,8 +7,10 @@ that one ``eigh`` first.
 """
 
 import dataclasses
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from motifqk.kernels import (
     jacobi_eigh,
     kernel_matrix,
     model_complexity,
-    psd_sqrt,
     resolve_gamma,
     spectrum,
 )
@@ -162,6 +163,32 @@ def test_rectangular_kernel(rng):
             assert K[i, j] == pytest.approx(math.exp(-d2))
 
 
+def _bloch_rows(n, seed):
+    """``make_bloch_features`` rows of the benchmark's screen workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_bloch_features(n, 61, seed)
+
+
+@pytest.mark.parametrize("gamma", ["scale", "auto", 1.0])
+def test_square_rbf_gram_bytes_are_pinned(rng, gamma):
+    # the two-norm expansion with both row norms summed separately, clipped
+    # at zero, exponentiated and symmetrised: the Gram every score rests on
+    bits, _, _ = _one_hot_screen_inputs(rng)
+    one_hot = bits[:40].astype(np.float64)
+    one_hot[7] = one_hot[3]  # a repeated row: its squared distance is 0
+    for X in (one_hot, _bloch_rows(30, 5), rng.normal(size=(25, 6))):
+        g = resolve_gamma(KernelSpec(kind="rbf", gamma=gamma), X)
+        sq = (np.sum(X * X, axis=1)[:, None]
+              + np.sum(X * X, axis=1)[None, :] - 2.0 * (X @ X.T))
+        want = np.exp(-g * np.clip(sq, 0.0, None))
+        want = (want + want.T) / 2.0
+        got = kernel_matrix(X, KernelSpec(kind="rbf", gamma=gamma))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_matrix_rejects_nonfinite():
     X = np.array([[1e300, 1e300]])
     with pytest.raises(DataError):
@@ -206,23 +233,6 @@ def test_jacobi_diagonal_is_fixed_point():
     assert np.allclose(np.abs(V), np.eye(3))
 
 
-def test_psd_sqrt_squares_back(rng):
-    # the root of the Gram rescaled to trace N, the one g reads
-    K = _random_psd(rng, 5)
-    S = psd_sqrt(spectrum(K))
-    assert np.allclose(S @ S, 5 * K / np.trace(K), atol=1e-8)
-    assert np.allclose(S, S.T)
-
-
-def test_psd_sqrt_identity():
-    assert np.allclose(psd_sqrt(spectrum(np.eye(4))), np.eye(4))
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(DataError, match="not PSD"):
-        psd_sqrt(spectrum(np.diag([1.0, -0.5])))
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 10.0])
 def test_geometric_difference_identity_closed_form(lam):
     s = spectrum(np.eye(12))
@@ -247,6 +257,27 @@ def test_geometric_difference_oracle(rng):
             mine = geometric_difference(spectrum(Kc), spectrum(Kq), lam)
             want = _oracle_geometric_difference(Kc, Kq, lam)
             assert mine == pytest.approx(want, abs=1e-8)
+
+
+def test_geometric_difference_clips_the_pqk_spectrum(rng):
+    # Kq: rows 1, 3, 5 and 7 repeat rows 0, 2, 4 and 6; the first two pairs
+    # keep their exact zero eigenvalues, the last two are pushed just below
+    # zero, within spectrum's -1e-8; lam = 0 against a nonsingular Kc
+    n = 12
+    F = rng.normal(size=(n, 4))
+    F[[1, 3, 5, 7]] = F[[0, 2, 4, 6]]
+    Kq = kernel_matrix(F, KernelSpec(kind="rbf", gamma=0.5))
+    for i, eps in ((4, 6e-9), (6, 1e-9)):
+        u = np.zeros(n)
+        u[i], u[i + 1] = 1.0, -1.0
+        Kq -= eps / 2 * np.outer(u, u)  # eigenvalue -eps along u
+    Kc = _random_psd(rng, n) + np.eye(n)
+    q = spectrum(Kq)
+    assert -1e-8 <= q.w[0] < q.w[1] < 0  # the clipped negative eigenvalues
+    assert (np.abs(q.w) < 1e-12).sum() >= 2  # and the repeated rows' zeros
+    want = _oracle_geometric_difference(Kc, Kq, 0.0)
+    assert geometric_difference(spectrum(Kc), q, 0.0) \
+        == pytest.approx(want, rel=0, abs=1e-10)
 
 
 def test_geometric_difference_monotone_in_lambda(rng):

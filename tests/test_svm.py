@@ -223,6 +223,13 @@ def test_stratified_folds_refuses_a_negative_seed():
         stratified_folds(np.array([1, -1] * 4), folds=2, seed=-1)
 
 
+@pytest.mark.parametrize("folds", [2.5, True])
+def test_stratified_folds_refuses_a_count_that_is_no_int(folds):
+    with pytest.raises(ConfigError,
+                       match=f"^folds must be an int >= 2, got {folds}$"):
+        stratified_folds(np.array([1, -1] * 4), folds, seed=0)
+
+
 def test_stratified_folds_deterministic():
     y = np.array([1, -1] * 10)
     a, _ = stratified_folds(y, folds=5, seed=9)
