@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_seed
+from .errors import ConfigError, DataError, check_count
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 GATE_KINDS = ("H", "CX") + ROTATION_KINDS
@@ -137,8 +137,7 @@ def build_zz_feature_map(x, reps: int, scale: float) -> Circuit:
     """
     x = _check_features(x)
     n = x.size
-    if not (isinstance(reps, int) and reps >= 1):
-        raise ConfigError("reps must be an integer >= 1")
+    check_count(reps, "reps", 1)
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError("scale must be positive and finite")
     rep = [Gate("H", (q,)) for q in range(n)]
@@ -161,11 +160,10 @@ def build_heisenberg_embedding(x, steps: int, scale: float,
     """
     x = _check_features(x)
     n = x.size + 1
-    if not (isinstance(steps, int) and steps >= 1):
-        raise ConfigError("steps must be an integer >= 1")
+    check_count(steps, "steps", 1)
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError("scale must be positive and finite")
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, n)
     prep = tuple(Gate("RY", (q,), float(thetas[q])) for q in range(n))

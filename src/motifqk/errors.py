@@ -1,14 +1,12 @@
 """Exception hierarchy shared across the pipeline.
 
 Each CLI-facing failure mode gets its own class so the entry point can map
-exceptions to stable exit codes. ``check_seed`` is the one rule for every
-seed a config or call takes, and ``check_count`` for every count of folds,
-splits or passes, so that a bad value is a ``ConfigError`` where the config
-is built rather than a numpy error, or a silent rounding, where it is
-consumed.
+exceptions to stable exit codes. ``check_count`` is the one rule for every
+count (folds, splits, passes, repetitions, steps, shots, worker processes,
+a kernel degree) and every seed a config or call takes, so that a bad value
+is a ``ConfigError`` where the config is built rather than a numpy or JSON
+error, or a silent rounding, where it is consumed.
 """
-
-import numbers
 
 
 class MotifqkError(Exception):
@@ -31,14 +29,9 @@ class SolverError(MotifqkError):
     """The SVM solver's result breaks an optimality condition it checks."""
 
 
-def check_seed(seed, name: str = "seed") -> None:
-    """Reject a seed that is not an int >= 0, the seeds numpy accepts."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ConfigError(f"{name} must be an int >= 0, got {seed!r}")
-
-
 def check_count(value, name: str, minimum: int) -> None:
-    """Reject a count that is not an int >= minimum; a bool is no count."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       and value >= minimum):
+    """Reject a count or seed that is not a plain int >= minimum: a bool, a
+    float or a numpy integer is refused, so a config holds what the JSON of
+    its hash and descriptors can spell."""
+    if type(value) is not int or value < minimum:
         raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")

@@ -2,9 +2,16 @@
 
 One experiment compares two arms on identical train/test splits and
 identical CV folds: a kernel SVM on the raw one-hot bits ("original") and
-the same machinery on projected quantum-kernel features ("pqk"). Per-motif
-accuracy counts feed an exact Fisher test so per-position annotation
-effects can be called at a chosen significance level.
+the same machinery on projected quantum-kernel features ("pqk").
+
+``run_experiment`` makes one ``ArmRecord`` per (split, arm), in split-then-
+arm order: the split's test rows, the arm's prediction for each, and the
+grid entry it chose. One reduction then computes every report field from
+those records and the split plan: F1 per split, the chosen entries,
+per-motif right/wrong counts from each row's correctness, and from those
+an exact Fisher test per annotation cell, so per-position effects can be
+called at a chosen significance level. A record keeps its rows paired, so
+a later per-row statistic reads the records, not a tally.
 """
 
 from __future__ import annotations
@@ -12,18 +19,21 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import logging
 import math
+import time
 from dataclasses import asdict, dataclass, field, fields
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count, check_seed
+from .errors import ConfigError, DataError, check_count
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
-from .features import BackendConfig, EmbeddingConfig, check_n_jobs, \
-    parse_scale, project_features
+from .features import BackendConfig, EmbeddingConfig, parse_scale, \
+    project_features
 from .kernels import KernelSpec, check_lam, check_ridge, \
     geometric_difference, kernel_matrix, model_complexity, parse_gamma, \
     spectrum
@@ -35,6 +45,8 @@ FEATURE_ORDERS = ("natural", "correlation")
 # how many processes compute the feature rows: it cannot change a result,
 # so it stays out of the report's config
 DEPLOYMENT_FIELDS = ("n_jobs",)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ def make_splits(n_samples: int, n_splits: int = 10, train_frac: float = 0.7,
     if n_samples < 2:
         raise ConfigError("need at least 2 samples to split")
     check_split_plan(n_splits, train_frac)
-    check_seed(seed, "split seed")
+    check_count(seed, "split seed", 0)
     n_train = math.floor(train_frac * n_samples)
     if n_train < 1 or n_train >= n_samples:
         raise ConfigError("train_frac leaves an empty side")
@@ -117,10 +129,10 @@ class ExperimentConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        check_n_jobs(self.n_jobs)
+        check_count(self.n_jobs, "n_jobs", 1)
         check_stopping(self.smo_tol, self.smo_max_passes)
-        check_seed(self.split_seed, "split_seed")
-        check_seed(self.cv_seed, "cv_seed")
+        check_count(self.split_seed, "split_seed", 0)
+        check_count(self.cv_seed, "cv_seed", 0)
         check_split_plan(self.n_splits, self.train_frac)
         check_count(self.cv_folds, "cv_folds", 2)
         if self.feature_order not in FEATURE_ORDERS:
@@ -262,21 +274,23 @@ def screen_advantage(bits, y, pqk_features, spec: KernelSpec,
             "complexity_gap": bool(complexity_gap), "verdict": verdict}
 
 
-def _accumulate(counts: dict, categories: list[tuple[str, ...]],
-                test_idx, ok_flags: np.ndarray, method: str) -> None:
-    for local, sample_idx in enumerate(test_idx):
-        cats = categories[sample_idx]
-        ok = bool(ok_flags[local])
-        for pos, category in enumerate(cats):
-            for axis in ANNOTATION_AXES:
-                value = annotate_category(category, axis)
-                cell = counts.setdefault(axis, {}) \
-                             .setdefault(str(pos), {}) \
-                             .setdefault(value, {m: [0, 0] for m in METHODS})
-                cell[method][0 if ok else 1] += 1
+class ArmRecord(NamedTuple):
+    """One arm on one split: the split's test rows (sorted), the arm's
+    prediction for each, and the grid entry it chose."""
+
+    split: int
+    method: str
+    test_idx: tuple[int, ...]
+    preds: np.ndarray
+    chosen: dict
 
 
-def _run_arm(X, y, tr, te, config: ExperimentConfig):
+def _run_arm(split: int, method: str, X, y, plan: SplitPlan,
+             config: ExperimentConfig) -> ArmRecord:
+    """Grid-search one arm on a split's training rows, refit the best
+    entry, predict the test rows, and log one progress line."""
+    start = time.perf_counter()
+    tr, te = plan.splits[split]
     X_tr, y_tr = X[list(tr)], y[list(tr)]
     gs = grid_search(X_tr, y_tr, config.grid, folds=config.cv_folds,
                      seed=config.cv_seed, tol=config.smo_tol,
@@ -292,30 +306,65 @@ def _run_arm(X, y, tr, te, config: ExperimentConfig):
               "mean_cv_f1": float(gs.means[gs.best_index]),
               "folds": gs.folds,
               "nonconverged_fits": nonconverged}
-    return preds, chosen
+    logger.info("split %d/%d %s: %s C=%g gamma=%s, mean CV F1 %.4f, %.2f s",
+                split + 1, len(plan.splits), method, kind, c_val,
+                chosen["gamma"], chosen["mean_cv_f1"],
+                time.perf_counter() - start)
+    return ArmRecord(split, method, te, preds, chosen)
+
+
+def _report_from_records(records: list[ArmRecord], plan: SplitPlan,
+                         dataset: EncodedDataset,
+                         config: ExperimentConfig) -> EvalReport:
+    """Every report field from the records and the split plan. A cell of
+    ``counts`` tallies, per method, the right and wrong predictions of the
+    tested rows whose construct has that (axis, position, value)."""
+    y = dataset.y
+    per_method = {m: [r for r in records if r.method == m] for m in METHODS}
+    f1 = {m: [float(weighted_f1(y[list(r.test_idx)], r.preds)) for r in rs]
+          for m, rs in per_method.items()}
+    categories = [decode_one_hot(row, dataset.layout)
+                  for row in dataset.bits.tolist()]
+    counts: dict = {}
+    for r in records:
+        for i, ok in zip(r.test_idx, r.preds == y[list(r.test_idx)]):
+            for pos, category in enumerate(categories[i]):
+                for axis in ANNOTATION_AXES:
+                    value = annotate_category(category, axis)
+                    cell = counts.setdefault(axis, {}) \
+                                 .setdefault(str(pos), {}) \
+                                 .setdefault(value,
+                                             {m: [0, 0] for m in METHODS})
+                    cell[r.method][0 if ok else 1] += 1
+    return EvalReport(
+        config=config.provenance(),
+        config_hash=_config_hash(config),
+        n_samples=len(dataset),
+        split_sizes=[[len(tr), len(te)] for tr, te in plan.splits],
+        f1=f1,
+        median_f1={m: float(np.median(f1[m])) for m in METHODS},
+        max_f1={m: float(max(f1[m])) for m in METHODS},
+        chosen={m: [r.chosen for r in rs] for m, rs in per_method.items()},
+        counts=counts,
+        fisher=fisher_from_counts(counts),
+    )
 
 
 def run_experiment(dataset: EncodedDataset,
                    config: ExperimentConfig) -> EvalReport:
-    """Run both arms over every split and assemble the full report; the
-    pqk arm projects features once per distinct column order."""
+    """Run both arms over every split, one ``ArmRecord`` per (split, arm),
+    and reduce the records to the report; the pqk arm projects features
+    once per distinct column order."""
     bits = dataset.bits
     X_bits = bits.astype(np.float64)
     y = dataset.y
-    N = len(dataset)
     if len(np.unique(y)) < 2:
         raise DataError("experiment needs both labels present")
-    plan = make_splits(N, config.n_splits, config.train_frac,
+    plan = make_splits(len(dataset), config.n_splits, config.train_frac,
                        config.split_seed)
-    categories = [decode_one_hot(row, dataset.layout)
-                  for row in bits.tolist()]
     features: dict[tuple[int, ...], np.ndarray] = {}
-    f1 = {m: [] for m in METHODS}
-    chosen = {m: [] for m in METHODS}
-    counts: dict = {}
-    split_sizes = []
-    for tr, te in plan.splits:
-        split_sizes.append([len(tr), len(te)])
+    records: list[ArmRecord] = []
+    for k, (tr, _) in enumerate(plan.splits):
         order = (tuple(correlation_order(bits[list(tr)]))
                  if config.feature_order == "correlation"
                  else tuple(range(bits.shape[1])))
@@ -323,24 +372,9 @@ def run_experiment(dataset: EncodedDataset,
             features[order] = project_features(
                 bits[:, order], config.embedding, config.backend,
                 n_jobs=config.n_jobs)
-        y_te = y[list(te)]
         for method, X in zip(METHODS, (X_bits, features[order])):
-            preds, chose = _run_arm(X, y, tr, te, config)
-            f1[method].append(weighted_f1(y_te, preds))
-            chosen[method].append(chose)
-            _accumulate(counts, categories, te, preds == y_te, method)
-    return EvalReport(
-        config=config.provenance(),
-        config_hash=_config_hash(config),
-        n_samples=N,
-        split_sizes=split_sizes,
-        f1={m: [float(v) for v in f1[m]] for m in METHODS},
-        median_f1={m: float(np.median(f1[m])) for m in METHODS},
-        max_f1={m: float(max(f1[m])) for m in METHODS},
-        chosen=chosen,
-        counts=counts,
-        fisher=fisher_from_counts(counts),
-    )
+            records.append(_run_arm(k, method, X, y, plan, config))
+    return _report_from_records(records, plan, dataset, config)
 
 
 def _listed(convert):

@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BackendError, ConfigError, DataError, check_seed
+from .errors import BackendError, ConfigError, DataError, check_count
 from .data import read_labelled_csv, write_labelled_csv
 from . import statevector as sv
 from .circuits import Circuit, simplify
@@ -122,13 +122,16 @@ class EmbeddingConfig:
             if getattr(self, name) is not None and name not in reads:
                 raise ConfigError(
                     f"embedding kind {self.kind} does not read {name}")
-        if self.kind == "e1" and self.reps not in PRODUCTION_REPS:
-            raise ConfigError(f"e1 reps must be one of {PRODUCTION_REPS}")
-        if self.kind == "e2":
+        if self.kind == "e1":
+            check_count(self.reps, "e1 reps", 1)
+            if self.reps not in PRODUCTION_REPS:
+                raise ConfigError(f"e1 reps must be one of {PRODUCTION_REPS}")
+        else:
+            check_count(self.steps, "e2 steps", 1)
             if self.steps not in PRODUCTION_STEPS:
                 raise ConfigError(
                     f"e2 steps must be one of {PRODUCTION_STEPS}")
-            check_seed(self.seed, "e2 seed")
+            check_count(self.seed, "e2 seed", 0)
         if self.scale not in PRODUCTION_SCALES:
             raise ConfigError("scale must be pi or pi/2")
 
@@ -164,10 +167,11 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("exact", "shots", "obp"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "shots" and self.shots < 1:
-            raise ConfigError("shots backend needs shots >= 1")
-        if self.kind == "shots" and self.seed is None:
-            raise ConfigError("shots backend needs a seed")
+        if self.kind == "shots":
+            check_count(self.shots, "shots", 1)
+            if self.seed is None:
+                raise ConfigError("shots backend needs a seed")
+            check_count(self.seed, "shots seed", 0)
         if self.kind != "shots" and (self.shots or self.seed is not None):
             raise ConfigError(
                 f"shots and seed apply to the shots backend, not {self.kind}")
@@ -206,12 +210,6 @@ def _shot_seed(master: int, bits_key: str, qubit: int, basis: str) -> int:
     digest = hashlib.sha256(
         f"{master}|{bits_key}|{qubit}|{basis}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def check_n_jobs(n_jobs: int) -> None:
-    """Worker processes for ``project_features``: 1 (serial) or more."""
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs!r}")
 
 
 def _check_bits(bits) -> np.ndarray:
@@ -303,7 +301,7 @@ def project_features(bits, embedding: EmbeddingConfig,
     command or config sets ``cache_dir``; it stays because the benchmark's
     ``embed`` workload times a cold pass into a cache and a warm read back.
     """
-    check_n_jobs(n_jobs)
+    check_count(n_jobs, "n_jobs", 1)
     if cache_dir is not None and not str(cache_dir):
         # an empty path names the working directory
         raise ConfigError("cache dir must not be empty (leave it out for "

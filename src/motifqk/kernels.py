@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class KernelSpec:
                     f"gamma must be positive or scale/auto, got {self.gamma!r}")
         elif not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
-        if not (isinstance(self.degree, int) and self.degree >= 1):
-            raise ConfigError("degree must be an integer >= 1")
+        check_count(self.degree, "degree", 1)
         if not math.isfinite(self.coef0):
             raise ConfigError("coef0 must be finite")
 

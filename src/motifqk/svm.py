@@ -76,8 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SolverError, check_count, \
-    check_seed
+from .errors import ConfigError, DataError, SolverError, check_count
 from .kernels import KERNEL_FIELDS, KERNEL_KINDS, KernelSpec, kernel_matrix, \
     resolve_gamma
 
@@ -491,7 +490,7 @@ def stratified_folds(y, folds: int, seed: int):
     """
     y = np.asarray(y)
     check_count(folds, "folds", 2)
-    check_seed(seed, "cv seed")
+    check_count(seed, "cv seed", 0)
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2:
         raise DataError("stratified folds need both classes present")

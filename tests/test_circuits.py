@@ -110,8 +110,9 @@ def test_zz_map_zero_input_zero_angles():
 
 
 def test_zz_map_validation():
-    with pytest.raises(ConfigError):
-        build_zz_feature_map(np.ones(3), reps=0, scale=1.0)
+    for reps in (0, True, 2.0, np.int64(2)):
+        with pytest.raises(ConfigError, match="^reps must be an int >= 1"):
+            build_zz_feature_map(np.ones(3), reps=reps, scale=1.0)
     with pytest.raises(ConfigError):
         build_zz_feature_map(np.ones(3), reps=1, scale=-1.0)
     # A single feature is legal: the map degenerates to H plus one rotation.
@@ -149,8 +150,14 @@ def test_heisenberg_seed_determinism():
 
 
 def test_heisenberg_validation():
-    with pytest.raises(ConfigError):
-        build_heisenberg_embedding([1.0, 1.0], steps=0, scale=1.0, seed=0)
+    for steps in (0, True, 2.0, np.int64(2)):
+        with pytest.raises(ConfigError, match="^steps must be an int >= 1"):
+            build_heisenberg_embedding([1.0, 1.0], steps=steps, scale=1.0,
+                                       seed=0)
+    for seed in (-1, True, 1.5, np.int64(0)):
+        with pytest.raises(ConfigError, match="^seed must be an int >= 0"):
+            build_heisenberg_embedding([1.0, 1.0], steps=1, scale=1.0,
+                                       seed=seed)
     with pytest.raises(ConfigError):
         build_heisenberg_embedding([1.0], steps=1, scale=float("nan"), seed=0)
 

@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import hashlib
+import logging
 import math
 import re
 from pathlib import Path
@@ -11,22 +12,26 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from motifqk.data import EMPTY, TERMINAL, Construct, EncodingLayout, encode_dataset
+from motifqk.data import (ANNOTATION_AXES, EMPTY, TERMINAL, Construct,
+                          EncodedDataset, EncodingLayout, annotate_category,
+                          decode_one_hot, encode_dataset)
 from motifqk import evaluation
 from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import (
+    METHODS,
     ExperimentConfig,
     _config_hash,
     config_from_ini,
     fisher_exact,
     make_splits,
     per_motif_analysis,
+    report_cells,
     run_experiment,
     screen_advantage,
 )
 from motifqk.features import BackendConfig, EmbeddingConfig, project_features
 from motifqk.kernels import KernelSpec
-from motifqk.svm import GridConfig
+from motifqk.svm import GridConfig, weighted_f1
 from motifqk.synthetic import make_separable_dataset, separable_layout
 
 TINY_GRID = GridConfig(kernels=("linear",), c_values=(1.0,),
@@ -461,8 +466,10 @@ def test_readme_production_ini_parses(tmp_path):
 
 
 def test_experiment_config_rejects_nonpositive_n_jobs():
-    for n_jobs in (0, -4):
-        with pytest.raises(ConfigError, match="n_jobs"):
+    for n_jobs in (0, -4, 2.5, True, np.int64(2)):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"n_jobs must be an int >= 1, "
+                                           f"got {n_jobs!r}")):
             _synthetic_config(n_jobs=n_jobs)
     assert _synthetic_config(n_jobs=2).n_jobs == 2
 
@@ -477,6 +484,15 @@ def test_experiment_config_rejects_nonpositive_n_jobs():
     ("n_splits", 2.5, "n_splits must be an int >= 1, got 2.5"),
     ("n_splits", True, "n_splits must be an int >= 1, got True"),
     ("smo_max_passes", True, "max_passes must be an int >= 0, got True"),
+    # a seed or count that is a numpy integer has no JSON spelling in the
+    # config hash, and a bool is no seed
+    pytest.param("split_seed", np.int64(0), re.escape(
+        f"split_seed must be an int >= 0, got {np.int64(0)!r}"),
+        id="split_seed-np.int64"),
+    ("cv_seed", True, "cv_seed must be an int >= 0, got True"),
+    pytest.param("cv_folds", np.int64(3), re.escape(
+        f"cv_folds must be an int >= 2, got {np.int64(3)!r}"),
+        id="cv_folds-np.int64"),
     ("n_splits", 0, "n_splits must be an int >= 1, got 0"),
     ("train_frac", 1.0, "train_frac"), ("train_frac", 0.0, "train_frac"),
     ("train_frac", math.nan, "train_frac")])
@@ -540,6 +556,63 @@ def test_run_experiment_projects_once_per_column_order(monkeypatch):
                         lambda bits: list(range(bits.shape[1]))[::-1])
     run_experiment(dataset, _synthetic_config(feature_order="correlation"))
     assert projected == [dataset.bits[:, ::-1].tobytes()]
+
+
+def test_report_is_one_reduction_of_the_arm_records(monkeypatch):
+    records = []
+    run_arm = evaluation._run_arm
+
+    def spy(*args):
+        records.append(run_arm(*args))
+        return records[-1]
+
+    monkeypatch.setattr(evaluation, "_run_arm", spy)
+    # two flipped labels, so both arms get some test rows wrong
+    separable = make_separable_dataset()
+    y = separable.y.copy()
+    y[[0, 5]] *= -1
+    dataset = EncodedDataset(separable.bits, y, separable.layout)
+    config = _synthetic_config()
+    report = run_experiment(dataset, config)
+    plan = make_splits(len(dataset), config.n_splits, config.train_frac,
+                       config.split_seed)
+    assert [(r.split, r.method) for r in records] == [
+        (k, m) for k in range(config.n_splits) for m in METHODS]
+    for r in records:
+        assert r.test_idx == plan.splits[r.split][1]
+        assert r.preds.shape == (len(r.test_idx),)
+    assert report.f1 == {
+        m: [weighted_f1(y[list(r.test_idx)], r.preds)
+            for r in records if r.method == m] for m in METHODS}
+    # every (axis, position, value) of a tested row, per method: one right
+    # or wrong mark per record that tested the row
+    tallies: dict = {}
+    for r in records:
+        for i, pred in zip(r.test_idx, r.preds):
+            cats = decode_one_hot(dataset.bits[i].tolist(), dataset.layout)
+            for pos, category in enumerate(cats):
+                for axis in ANNOTATION_AXES:
+                    cell = (axis, pos, annotate_category(category, axis))
+                    marks = tallies.setdefault(
+                        cell, {m: [0, 0] for m in METHODS})
+                    marks[r.method][0 if pred == y[i] else 1] += 1
+    assert {(axis, pos, value): entry for axis, pos, value, entry
+            in report_cells(report.counts)} == tallies
+    assert any(marks[m][1] for marks in tallies.values() for m in METHODS)
+
+
+def test_run_experiment_logs_one_line_per_record(caplog):
+    with caplog.at_level(logging.INFO, logger="motifqk.evaluation"):
+        run_experiment(make_separable_dataset(),
+                       _synthetic_config(n_splits=2))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "motifqk.evaluation"]
+    assert len(lines) == 4
+    for line, (k, method) in zip(lines, [(1, "original"), (1, "pqk"),
+                                         (2, "original"), (2, "pqk")]):
+        assert re.fullmatch(
+            rf"split {k}/2 {method}: linear C=1 gamma=scale, "
+            r"mean CV F1 \d\.\d{4}, \d+\.\d\d s", line), line
 
 
 def test_run_experiment_rejects_label_collapse():

@@ -74,8 +74,15 @@ def test_embedding_config_validation():
             EmbeddingConfig(**fields)
     with pytest.raises(TypeError):
         EmbeddingConfig(kind="e1", reps=8, test_mode=True)
-    # the e2 seed seeds numpy, which takes ints >= 0 only
-    for seed in (-1, 1.5, "0"):
+    # a count in the production set is refused unless it is a plain int
+    for fields in ({"kind": "e1", "reps": 8.0},
+                   {"kind": "e1", "reps": np.int64(8)},
+                   {"kind": "e2", "steps": 4.0, "seed": 0}):
+        with pytest.raises(ConfigError, match="must be an int >= 1, got"):
+            EmbeddingConfig(**fields)
+    # the e2 seed seeds numpy, which takes ints >= 0 only; a bool or a
+    # numpy integer is refused too, as the descriptor would spell it
+    for seed in (-1, 1.5, "0", True, np.int64(0)):
         with pytest.raises(ConfigError, match="e2 seed must be an int >= 0"):
             EmbeddingConfig(kind="e2", steps=4, scale=math.pi, seed=seed)
 
@@ -97,13 +104,19 @@ def test_backend_config_parse():
     for bad in ("obp", "shots", "shots:x", "obp:-1", "magic"):
         with pytest.raises(ConfigError):
             BackendConfig.parse(bad)
-    with pytest.raises(ConfigError, match="needs shots >= 1"):
+    with pytest.raises(ConfigError, match="^shots must be an int >= 1, got 0$"):
         BackendConfig.parse("shots:0", seed=0)
 
 
 def test_backend_validation():
-    with pytest.raises(ConfigError, match="needs shots >= 1"):
+    with pytest.raises(ConfigError, match="^shots must be an int >= 1, got 0$"):
         BackendConfig(kind="shots", shots=0, seed=0)
+    # the shots count and seed are plain ints: no bool, float or numpy int,
+    # which the descriptor would spell as shots:10:seed=True and the like
+    for shots, seed in ((True, 0), (2.5, 0), (np.int64(10), 0),
+                        (10, -1), (10, True), (10, 2.5), (10, np.int64(0))):
+        with pytest.raises(ConfigError, match="must be an int >= "):
+            BackendConfig("shots", shots=shots, seed=seed)
     with pytest.raises(ConfigError):
         BackendConfig(kind="obp", threshold=-0.5)
     with pytest.raises(ConfigError):
@@ -566,8 +579,8 @@ def test_project_features_rejects_nonpositive_n_jobs(rng, monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(features, "ProcessPoolExecutor", no_pool)
-    for n_jobs in (0, -4):
-        with pytest.raises(ConfigError, match="n_jobs"):
+    for n_jobs in (0, -4, 2.5, True, np.int64(2)):
+        with pytest.raises(ConfigError, match="n_jobs must be an int >= 1"):
             project_features(_bits(rng, 2, 3), SMALL, EXACT, n_jobs=n_jobs)
 
 

@@ -106,8 +106,10 @@ def test_kernel_spec_validation():
         KernelSpec(kind="laplace")
     with pytest.raises(ConfigError):
         KernelSpec(kind="rbf", gamma=-1.0)
-    with pytest.raises(ConfigError):
-        KernelSpec(kind="poly", degree=0)
+    for degree in (0, True, 2.0, np.int64(2)):
+        with pytest.raises(ConfigError,
+                           match="^degree must be an int >= 1, got "):
+            KernelSpec(kind="poly", degree=degree)
 
 
 def test_resolve_gamma():

@@ -1,6 +1,7 @@
 """SVM trainer, scorer, and grid tests with a projected-gradient QP oracle."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -223,10 +224,11 @@ def test_stratified_folds_refuses_a_negative_seed():
         stratified_folds(np.array([1, -1] * 4), folds=2, seed=-1)
 
 
-@pytest.mark.parametrize("folds", [2.5, True])
+@pytest.mark.parametrize("folds", [2.5, True, np.int64(3)])
 def test_stratified_folds_refuses_a_count_that_is_no_int(folds):
     with pytest.raises(ConfigError,
-                       match=f"^folds must be an int >= 2, got {folds}$"):
+                       match="^" + re.escape(
+                           f"folds must be an int >= 2, got {folds!r}") + "$"):
         stratified_folds(np.array([1, -1] * 4), folds, seed=0)
 
 
