@@ -36,8 +36,7 @@ class Gate:
         if len(qubits) != want:
             raise ConfigError(f"{kind} needs {want} qubit operand(s)")
         for q in qubits:
-            if not isinstance(q, int) or q < 0:
-                raise ConfigError(f"{kind} needs {want} qubit operand(s)")
+            check_count(q, "qubit", 0)
         if want == 2 and qubits[0] == qubits[1]:
             raise ConfigError("CX control and target must differ")
         if kind in ROTATION_KINDS:
@@ -53,9 +52,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ConfigError("circuit needs at least one qubit")
         n = self.n_qubits
+        check_count(n, "n_qubits", 1)
         for g in self.gates:
             for q in g.qubits:
                 if q >= n:

@@ -154,12 +154,11 @@ class EncodedDataset:
         return len(self.y)
 
 
-def binarize_cytotoxicity(value: float,
-                          threshold: float = CYTOTOXICITY_THRESHOLD) -> int:
-    """Map a cytotoxicity score to +1 (high, < threshold) or -1 (low)."""
+def binarize_cytotoxicity(value: float) -> int:
+    """+1 (high) for a score below ``CYTOTOXICITY_THRESHOLD``, else -1."""
     if not math.isfinite(value):
         raise DataError(f"non-finite cytotoxicity {value!r}")
-    return 1 if value < threshold else -1
+    return 1 if value < CYTOTOXICITY_THRESHOLD else -1
 
 
 @contextmanager

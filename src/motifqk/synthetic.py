@@ -1,4 +1,4 @@
-"""Small constructed datasets with known structure, for tests and demos."""
+"""Constructed datasets with known structure, for tests and the benchmark."""
 
 from __future__ import annotations
 

@@ -37,6 +37,11 @@ def test_gate_validation():
         Gate("RZ", (0,), float("inf"))
     with pytest.raises(ConfigError):
         Gate("H", (0,), 0.5)
+    # an operand is a plain int: a bool would act on qubit 0 or 1, and a
+    # numpy integer is refused by name rather than as a wrong operand count
+    for bad in (True, np.int64(0)):
+        with pytest.raises(ConfigError, match="qubit must be an int >= 0"):
+            Gate("H", (bad,))
 
 
 def test_circuit_validation():
@@ -44,6 +49,9 @@ def test_circuit_validation():
         Circuit(0, ())
     with pytest.raises(ConfigError):
         Circuit(2, (Gate("H", (2,)),))
+    for bad in (True, 2.5):
+        with pytest.raises(ConfigError, match="n_qubits must be an int >= 1"):
+            Circuit(bad, ())
 
 
 def test_stats_empty_circuit():

@@ -11,10 +11,14 @@ import pytest
 
 from motifqk import features
 from motifqk.cli import build_parser, main
-from motifqk.data import load_encoded_csv
+from motifqk.data import (EMPTY, TERMINAL, decode_one_hot, encode_dataset,
+                          load_constructs, load_encoded_csv)
 from motifqk.features import load_feature_csv
 from motifqk.kernels import KernelSpec
 from motifqk.svm import SvmModel, predict, smo_train
+from motifqk.synthetic import make_separable_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -500,6 +504,32 @@ def test_report_full_run(tmp_path, raw_csv):
     assert len(f1_lines) == 4
 
 
+def test_readme_demo_runs_through_report(tmp_path, monkeypatch):
+    # the README quick start, from the repository root: the INI's dataset
+    # path is read relative to the working directory
+    monkeypatch.chdir(ROOT)
+    reports = []
+    for k in (1, 2):
+        outdir = tmp_path / f"demo{k}"
+        rc = main(["report", "--config", "examples/demo/demo.ini",
+                   "--output-dir", str(outdir)])
+        assert rc == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "counts.csv", "f1.csv", "fisher.csv", "report.json"]
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["median_f1"] == {"original": 1.0,
+                                                   "pqk": 1.0}
+    # the CSV holds the constructs of make_separable_dataset, so the demo
+    # and the benchmark's report workload run one screen
+    demo = make_separable_dataset()
+    constructs = load_constructs(ROOT / "examples" / "demo" / "constructs.csv")
+    assert [c.motifs for c in constructs] == [
+        tuple(m for m in decode_one_hot(row, demo.layout)
+              if m not in (TERMINAL, EMPTY)) for row in demo.bits]
+    assert encode_dataset(constructs).y.tolist() == demo.y.tolist()
+
+
 @pytest.mark.parametrize("alpha", ["0", "1"])
 def test_report_rejects_bad_alpha_before_running(tmp_path, raw_csv,
                                                  monkeypatch, alpha):
@@ -634,7 +664,7 @@ def test_report_duplicate_key(tmp_path, raw_csv):
 
 def test_readme_command_lines_parse():
     # every documented `motifqk ...` invocation must name real flags
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     text = readme.replace("\\\n", " ").replace("$lam", "1.0")
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     commands = [shlex.split(ln) for ln in lines if ln.startswith("motifqk ")]

@@ -524,8 +524,9 @@ def test_deployment_fields_stay_out_of_the_config_hash():
 
 
 def test_demo_report_bytes_are_pinned():
-    # the demo config (scripts/demo_synthetic.py, the benchmark's report
-    # workload); a change that moves these bytes updates the pin and says why
+    # the demo config on the 15-bit separable layout (the benchmark's report
+    # workload; examples/demo/demo.ini runs the same keys at 60 bits); a
+    # change that moves these bytes updates the pin and says why
     config = _synthetic_config(
         n_splits=10, grid=GridConfig(kernels=("linear",),
                                      c_values=(1.0, 14.75),

@@ -1,8 +1,8 @@
 """No module imports a name it never uses.
 
-Checked over ``src/motifqk``, ``scripts/`` and ``perfbench/``. An import
-left behind by a deletion hides what the module still depends on. The
-package's ``__init__.py`` is exempt: its imports are its exports, which
+Checked over ``src/motifqk`` and ``perfbench/``. An import left behind
+by a deletion hides what the module still depends on. The package's
+``__init__.py`` is exempt: its imports are its exports, which
 ``test_public_api`` checks for callers instead.
 """
 
@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _modules():
     paths = sorted((ROOT / "src" / "motifqk").glob("*.py"))
-    paths += sorted((ROOT / "scripts").glob("*.py"))
     paths += sorted((ROOT / "perfbench").rglob("*.py"))
     return [p for p in paths if p.name != "__init__.py"]
 

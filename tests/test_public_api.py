@@ -1,10 +1,10 @@
 """Every name the package exports has a caller outside the tests.
 
 A caller is a reference in ``src/motifqk`` (other than ``__init__.py`` and
-the name's own definition), in ``scripts/`` or in ``perfbench/``: a name,
-an attribute, or a string equal to the name (``perfbench/spans.py`` wraps
-functions by name). An export that only tests reach repeats a production
-path or keeps an unused field alive, so it needs a reason to stay.
+the name's own definition) or in ``perfbench/``: a name, an attribute, or
+a string equal to the name (``perfbench/spans.py`` wraps functions by
+name). An export that only tests reach repeats a production path or
+keeps an unused field alive, so it needs a reason to stay.
 """
 
 import ast
@@ -43,7 +43,6 @@ def _references(node, own):
 def _referenced_outside_tests() -> set[str]:
     paths = [p for p in sorted((ROOT / "src" / "motifqk").glob("*.py"))
              if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
     paths += sorted((ROOT / "perfbench").rglob("*.py"))
     used = set()
     for path in paths:
