@@ -199,9 +199,13 @@ def _write_report_tables(report, outdir: Path, alpha: float) -> None:
 def cmd_report(args) -> int:
     check_alpha(args.alpha)  # before the experiment, which is the slow part
     dataset_path, config = config_from_ini(args.config)
+    # a relative [dataset] path is read from the INI file's directory, and
+    # the dataset before the output directory is made, so that a missing
+    # one leaves no empty directory behind
+    constructs = dataio.load_constructs(Path(args.config).parent
+                                        / dataset_path)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)  # before the experiment too
-    constructs = dataio.load_constructs(dataset_path)
     dataset = dataio.encode_dataset(constructs)
     report = run_experiment(dataset, config)
     report.save(outdir / "report.json")

@@ -325,17 +325,26 @@ def _report_from_records(records: list[ArmRecord], plan: SplitPlan,
           for m, rs in per_method.items()}
     categories = [decode_one_hot(row, dataset.layout)
                   for row in dataset.bits.tolist()]
-    counts: dict = {}
+    # each tested row's right and wrong marks per method, rows in the order
+    # they are first tested; then each row's cells, resolved once, take its
+    # marks, so cells are made in the order a per-record walk makes them
+    marks: dict = {}
     for r in records:
-        for i, ok in zip(r.test_idx, r.preds == y[list(r.test_idx)]):
-            for pos, category in enumerate(categories[i]):
-                for axis in ANNOTATION_AXES:
-                    value = annotate_category(category, axis)
-                    cell = counts.setdefault(axis, {}) \
-                                 .setdefault(str(pos), {}) \
-                                 .setdefault(value,
-                                             {m: [0, 0] for m in METHODS})
-                    cell[r.method][0 if ok else 1] += 1
+        hits = (r.preds == y[list(r.test_idx)]).tolist()
+        for i, ok in zip(r.test_idx, hits):
+            row = marks.setdefault(i, {m: [0, 0] for m in METHODS})
+            row[r.method][0 if ok else 1] += 1
+    counts: dict = {}
+    for i, row in marks.items():
+        for pos, category in enumerate(categories[i]):
+            for axis in ANNOTATION_AXES:
+                cell = counts.setdefault(axis, {}) \
+                             .setdefault(str(pos), {}) \
+                             .setdefault(annotate_category(category, axis),
+                                         {m: [0, 0] for m in METHODS})
+                for m in METHODS:
+                    cell[m][0] += row[m][0]
+                    cell[m][1] += row[m][1]
     return EvalReport(
         config=config.provenance(),
         config_hash=_config_hash(config),

@@ -530,6 +530,30 @@ def test_readme_demo_runs_through_report(tmp_path, monkeypatch):
     assert encode_dataset(constructs).y.tolist() == demo.y.tolist()
 
 
+def test_demo_runs_from_any_working_directory(tmp_path, monkeypatch):
+    # a relative [dataset] path is read from the INI file's directory, so
+    # the demo INI given by its absolute path gives the same bytes from the
+    # repository root and from an unrelated directory
+    ini = str(ROOT / "examples" / "demo" / "demo.ini")
+    reports = []
+    for cwd in (ROOT, tmp_path):
+        monkeypatch.chdir(cwd)
+        outdir = tmp_path / f"demo{len(reports)}"
+        assert main(["report", "--config", ini,
+                     "--output-dir", str(outdir)]) == 0
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_report_missing_dataset_makes_no_output_dir(tmp_path, capsys):
+    ini = _report_ini(tmp_path, "missing.csv")
+    outdir = tmp_path / "out"
+    rc = main(["report", "--config", str(ini), "--output-dir", str(outdir)])
+    assert rc == 3
+    assert str(tmp_path / "missing.csv") in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("alpha", ["0", "1"])
 def test_report_rejects_bad_alpha_before_running(tmp_path, raw_csv,
                                                  monkeypatch, alpha):

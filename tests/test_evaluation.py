@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import hashlib
+import json
 import logging
 import math
 import re
@@ -11,15 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motifqk.data import (ANNOTATION_AXES, EMPTY, TERMINAL, Construct,
-                          EncodedDataset, EncodingLayout, annotate_category,
-                          decode_one_hot, encode_dataset)
+from motifqk.data import (ANNOTATION_AXES, EMPTY, MOTIF_CATALOG, TERMINAL,
+                          Construct, EncodedDataset, EncodingLayout,
+                          annotate_category, decode_one_hot, encode_dataset)
 from motifqk import evaluation
 from motifqk.errors import ConfigError, DataError
 from motifqk.evaluation import (
     METHODS,
+    ArmRecord,
     ExperimentConfig,
+    SplitPlan,
     _config_hash,
     config_from_ini,
     fisher_exact,
@@ -600,6 +605,61 @@ def test_report_is_one_reduction_of_the_arm_records(monkeypatch):
     assert {(axis, pos, value): entry for axis, pos, value, entry
             in report_cells(report.counts)} == tallies
     assert any(marks[m][1] for marks in tallies.values() for m in METHODS)
+
+
+def _reference_counts(records, dataset):
+    """The counts table as the report tallied it record by record,
+    annotating each tested row again for every record that tests it; kept
+    as the oracle of the per-row tally."""
+    y = dataset.y
+    categories = [decode_one_hot(row, dataset.layout)
+                  for row in dataset.bits.tolist()]
+    counts: dict = {}
+    for r in records:
+        for i, ok in zip(r.test_idx, r.preds == y[list(r.test_idx)]):
+            for pos, category in enumerate(categories[i]):
+                for axis in ANNOTATION_AXES:
+                    value = annotate_category(category, axis)
+                    cell = counts.setdefault(axis, {}) \
+                                 .setdefault(str(pos), {}) \
+                                 .setdefault(value,
+                                             {m: [0, 0] for m in METHODS})
+                    cell[r.method][0 if ok else 1] += 1
+    return counts
+
+
+@st.composite
+def _records_on_the_default_layout(draw):
+    """A screen on the default 60-bit layout, a split plan over it and one
+    record per (split, arm) with drawn predictions."""
+    n = draw(st.integers(2, 12))
+    motifs = st.lists(st.sampled_from(sorted(MOTIF_CATALOG)), min_size=1,
+                      max_size=3)
+    dataset = encode_dataset(
+        [Construct(tuple(draw(motifs)), draw(st.sampled_from((0.1, 0.9))))
+         for _ in range(n)])
+    splits, records = [], []
+    for k in range(draw(st.integers(1, 4))):
+        te = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        splits.append((tuple(i for i in range(n) if i not in te), te))
+        for method in METHODS:
+            preds = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(te),
+                                  max_size=len(te)))
+            records.append(ArmRecord(k, method, te,
+                                     np.array(preds, dtype=np.int64), {}))
+    return dataset, SplitPlan(tuple(splits)), records
+
+
+@given(_records_on_the_default_layout())
+@settings(deadline=None)
+def test_counts_match_the_per_record_tally(drawn):
+    dataset, plan, records = drawn
+    report = evaluation._report_from_records(records, plan, dataset,
+                                             _synthetic_config())
+    want = _reference_counts(records, dataset)
+    assert report.counts == want
+    # cells are made in the order the per-record walk makes them
+    assert json.dumps(report.counts) == json.dumps(want)
 
 
 def test_run_experiment_logs_one_line_per_record(caplog):

@@ -162,6 +162,34 @@ def test_weighted_f1_validation():
         weighted_f1([1, 0], [1])
 
 
+def _reference_weighted_f1(y_true, y_pred):
+    """``weighted_f1`` as it stood with numpy counts per label, kept as the
+    oracle of its counts over Python scalars."""
+    t, p = np.asarray(y_true), np.asarray(y_pred)
+    total = 0.0
+    for lab in np.unique(t):
+        is_t, is_p = t == lab, p == lab
+        tp = np.count_nonzero(is_t & is_p)
+        fp = np.count_nonzero(is_p) - tp
+        fn = np.count_nonzero(is_t) - tp
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        total += (tp + fn) / t.size * f1
+    return float(total)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n))))
+@example(([1, -1, 1, -1], [1, 1, 1, -1]))
+@example(([2, 2, 0], [7, 2, -1]))
+def test_weighted_f1_matches_the_numpy_count_bit_for_bit(labels):
+    # labels other than +/-1, and predicted labels that y_true lacks
+    t, p = (np.array(v, dtype=np.int64) for v in labels)
+    assert weighted_f1(t, p).hex() == _reference_weighted_f1(t, p).hex()
+
+
 def test_grid_cardinality():
     assert len(C_VALUES) == 87
     assert len(GAMMA_VALUES) == 77
@@ -736,6 +764,35 @@ def test_smo_broken_solution_is_solver_error(check, monkeypatch):
     monkeypatch.setattr(svm, "_check_solution", _perturbed(check))
     with pytest.raises(SolverError, match=check):
         smo_train(X, y, KernelSpec(kind="linear"), C=1.0)
+
+
+@pytest.mark.parametrize("kinds", [("zero-alpha", "bound-alpha"),
+                                   ("zero-alpha", "free"),
+                                   ("bound-alpha", "free")])
+def test_smo_two_broken_kinds_name_the_first_with_its_count(kinds,
+                                                            monkeypatch):
+    # every point of both kinds breaks its condition; the error names the
+    # first kind in zero-alpha, bound-alpha, free order and its count
+    X, y = _overlapping_problem()
+    real = svm._check_solution
+    planted = []
+
+    def wrapper(alpha, yf, margins, C, slack):
+        margins = margins.copy()
+        at_zero, at_C = alpha <= C * 1e-8, alpha >= C * (1.0 - 1e-8)
+        masks = {"zero-alpha": at_zero, "bound-alpha": at_C,
+                 "free": ~at_zero & ~at_C}
+        for kind in kinds:
+            assert masks[kind].any(), f"no {kind} point to break"
+            margins[masks[kind]] = 0.0 if kind == "zero-alpha" else 3.0
+        planted.append(int(masks[kinds[0]].sum()))
+        return real(alpha, yf, margins, C, slack)
+    monkeypatch.setattr(svm, "_check_solution", wrapper)
+    with pytest.raises(SolverError) as err:
+        smo_train(X, y, KernelSpec(kind="linear"), C=1.0)
+    assert str(err.value) == (
+        f"SMO KKT condition violated on {planted[0]} {kinds[0]} point(s) "
+        "of a converged fit")
 
 
 def test_smo_solver_error_survives_python_O():
