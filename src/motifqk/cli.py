@@ -29,24 +29,6 @@ from .evaluation import (FEATURE_ORDERS, METHODS, check_alpha,
 logger = logging.getLogger(__name__)
 
 
-def _add_embedding_flags(sub) -> None:
-    sub.add_argument("--embedding", required=True, choices=("e1", "e2"))
-    sub.add_argument("--reps", type=int, default=None,
-                     help="feature-map repetitions (e1)")
-    sub.add_argument("--steps", type=int, default=None,
-                     help="Trotter steps (e2)")
-    sub.add_argument("--scale", default="pi2",
-                     help="rotation scale: pi or pi2")
-    sub.add_argument("--backend", required=True,
-                     help="exact, shots:<n>, or obp:<threshold>")
-    sub.add_argument("--order", choices=FEATURE_ORDERS,
-                     default="natural",
-                     help="feed bit columns as-is or in clustered order")
-    sub.add_argument("--seed", type=int, required=True,
-                     help="seed for the e2 init layer / shot sampling")
-    sub.add_argument("--jobs", type=int, default=1)
-
-
 def _refuse_unread(args, command: str, flags) -> None:
     """Exit 2 naming each of ``flags`` (argparse dests, None when left out)
     that the command line gave: ``command`` does not read them."""
@@ -75,25 +57,6 @@ def _kernel_spec(args, command: str) -> KernelSpec:
     return KernelSpec(kind, **fields)
 
 
-def _features_from_args(args):
-    """(bits in the requested column order, projected features, labels)."""
-    X, y = dataio.load_encoded_csv(args.input)
-    if args.order == "correlation":
-        X = X[:, dataio.correlation_order(X)]
-    # --seed is required on every embedding command line, whatever the
-    # kinds; it reaches only the configs that read it: e2 (its RY layer)
-    # and shots
-    embedding = EmbeddingConfig(
-        args.embedding, reps=args.reps, steps=args.steps,
-        scale=parse_scale(args.scale),
-        seed=args.seed if args.embedding == "e2" else None)
-    backend = BackendConfig.parse(
-        args.backend,
-        seed=args.seed if args.backend.startswith("shots:") else None)
-    F = project_features(X, embedding, backend, n_jobs=args.jobs)
-    return X, F, y
-
-
 def cmd_encode(args) -> int:
     constructs = dataio.load_constructs(args.input)
     dataset = dataio.encode_dataset(constructs)
@@ -104,7 +67,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    _, F, y = _features_from_args(args)
+    X, y = dataio.load_encoded_csv(args.input)
+    if args.order == "correlation":
+        X = X[:, dataio.correlation_order(X)]
+    # --seed is required whatever the kinds; it reaches only the configs
+    # that read it: e2 (its RY layer) and shots
+    embedding = EmbeddingConfig(
+        args.embedding, reps=args.reps, steps=args.steps,
+        scale=parse_scale(args.scale),
+        seed=args.seed if args.embedding == "e2" else None)
+    backend = BackendConfig.parse(
+        args.backend,
+        seed=args.seed if args.backend.startswith("shots:") else None)
+    F = project_features(X, embedding, backend, n_jobs=args.jobs)
     write_feature_csv(args.output, F, labels=y)
     print(f"projected {F.shape[0]} samples to {F.shape[1]} features "
           f"-> {args.output}")
@@ -113,8 +88,14 @@ def cmd_embed(args) -> int:
 
 def cmd_screen(args) -> int:
     spec = _kernel_spec(args, "screen")
-    check_lam(args.lam)  # before the projection, which is the slow part
-    X, F, y = _features_from_args(args)
+    check_lam(args.lam)  # a config error reads no file
+    X, y = dataio.load_encoded_csv(args.input)
+    F, labels = load_feature_csv(args.features)
+    # the features must be what embed wrote from this input: its rows, in
+    # its order, with its labels
+    if len(labels) != len(y) or (labels != y).any():
+        raise DataError(f"{args.features} does not hold the rows and labels "
+                        f"of {args.input}")
     result = screen_advantage(X, y, F, spec, lam=args.lam)
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -233,17 +214,32 @@ def build_parser() -> argparse.ArgumentParser:
     emb = subs.add_parser("embed", help="compute 1-RDM feature vectors")
     emb.add_argument("--input", required=True, help="encoded CSV")
     emb.add_argument("--output", required=True)
-    _add_embedding_flags(emb)
+    emb.add_argument("--embedding", required=True, choices=("e1", "e2"))
+    emb.add_argument("--reps", type=int, default=None,
+                     help="feature-map repetitions (e1)")
+    emb.add_argument("--steps", type=int, default=None,
+                     help="Trotter steps (e2)")
+    emb.add_argument("--scale", default="pi2",
+                     help="rotation scale: pi or pi2")
+    emb.add_argument("--backend", required=True,
+                     help="exact, shots:<n>, or obp:<threshold>")
+    emb.add_argument("--order", choices=FEATURE_ORDERS,
+                     default="natural",
+                     help="feed bit columns as-is or in clustered order")
+    emb.add_argument("--seed", type=int, required=True,
+                     help="seed for the e2 init layer / shot sampling")
+    emb.add_argument("--jobs", type=int, default=1)
     emb.set_defaults(func=cmd_embed)
 
     scr = subs.add_parser("screen",
                           help="geometry screening of quantum advantage")
     scr.add_argument("--input", required=True, help="encoded CSV")
+    scr.add_argument("--features", required=True,
+                     help="feature CSV that embed wrote from --input")
     scr.add_argument("--output", default=None, help="JSON output path")
     scr.add_argument("--kernel", choices=KERNEL_KINDS)
     scr.add_argument("--gamma")
     scr.add_argument("--lam", type=float, default=1.0)
-    _add_embedding_flags(scr)
     scr.set_defaults(func=cmd_screen)
 
     tr = subs.add_parser("train", help="train a kernel SVM on features")

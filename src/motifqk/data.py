@@ -163,9 +163,10 @@ def binarize_cytotoxicity(value: float) -> int:
 
 @contextmanager
 def open_utf8(path):
-    """Open a UTF-8 text file for CSV reading; bytes that do not decode
-    are a ``DataError`` that names the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Open a UTF-8 text file for CSV reading, with or without the
+    byte-order mark that spreadsheet exports write; bytes that do not
+    decode are a ``DataError`` that names the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

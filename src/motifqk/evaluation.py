@@ -427,7 +427,7 @@ def config_from_ini(path) -> tuple[str, ExperimentConfig]:
     if not Path(path).exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        cp.read(path, encoding="utf-8")
+        cp.read(path, encoding="utf-8-sig")  # with or without a BOM
         for sec in ("dataset", "embedding", "backend", "protocol"):
             if sec not in cp:
                 raise ConfigError(f"config is missing the [{sec}] section")

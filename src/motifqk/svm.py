@@ -47,13 +47,7 @@ concatenate, and leaves its may-move flags as a list that only a fit
 ending above tol or without free alphas turns into arrays (2 of the 100
 fits of a demo report round, 106 of 1,500 on a 154-row fold). The KKT
 check tests every point against its own kind's condition at once, and
-counts the failures per kind only when one fails. Per call, before ->
-after, on one core of a 2-vCPU Xeon (recorded calls of a demo round /
-of a 154-row fold): a loop run that stops at its first check 23.9 -> 13.4
-/ 140 -> 108 us, the finish 17.8 -> 13.7 / 33 -> 29 us, ``predict`` 9.3
--> 7.5 / 45 us (kernel arithmetic), ``weighted_f1`` 10.3 -> 4.1 / 10.3
--> 6.5 us and ``stratified_folds`` 30 -> 24 / 34 -> 32 us. Every output is
-the same, bit for bit.
+counts the failures per kind only when one fails.
 
 Grid search builds one Gram per kernel and fold, under stratified folds
 shared by every candidate, and fits its distinct C values in ascending

@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from motifqk import features
 from motifqk.cli import build_parser, main
 from motifqk.data import (EMPTY, TERMINAL, decode_one_hot, encode_dataset,
                           load_constructs, load_encoded_csv)
+from motifqk.evaluation import screen_advantage
 from motifqk.features import load_feature_csv
 from motifqk.kernels import KernelSpec
 from motifqk.svm import SvmModel, predict, smo_train
@@ -390,6 +392,43 @@ def test_non_utf8_input_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_byte_order_mark_reads_as_the_original(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM; the demo CSV, an
+    # encoded CSV and the demo INI with one give the originals' bytes
+    demo = ROOT / "examples" / "demo"
+
+    def bom_copy(path, name):
+        copy = tmp_path / name
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    outputs = []
+    for constructs in (demo / "constructs.csv",
+                       bom_copy(demo / "constructs.csv", "bom.csv")):
+        encoded = tmp_path / f"encoded{len(outputs)}.csv"
+        assert main(["encode", "--input", str(constructs),
+                     "--output", str(encoded)]) == 0
+        outputs.append(encoded)
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    features_csv = []
+    for encoded in (outputs[0], bom_copy(outputs[0], "bom_encoded.csv")):
+        out = tmp_path / f"features{len(features_csv)}.csv"
+        assert main(["embed", "--input", str(encoded), "--output", str(out),
+                     "--embedding", "e1", "--reps", "6",
+                     "--backend", "obp:0.05", "--seed", "0"]) == 0
+        features_csv.append(out.read_bytes())
+    assert features_csv[0] == features_csv[1]
+    (tmp_path / "constructs.csv").write_bytes(
+        (demo / "constructs.csv").read_bytes())
+    reports = []
+    for ini in (demo / "demo.ini", bom_copy(demo / "demo.ini", "demo.ini")):
+        outdir = tmp_path / f"report{len(reports)}"
+        assert main(["report", "--config", str(ini),
+                     "--output-dir", str(outdir)]) == 0
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_evaluate_needs_labels(tmp_path, feature_csv, capsys):
     # the labeled file without its last column
     lines = feature_csv.read_text().splitlines()
@@ -411,12 +450,11 @@ def test_evaluate_needs_labels(tmp_path, feature_csv, capsys):
     assert not (tmp_path / "other.json").exists()
 
 
-def test_screen_writes_metrics(tmp_path, encoded_csv):
+def test_screen_writes_metrics(tmp_path, encoded_csv, feature_csv):
     out = tmp_path / "screen.json"
-    rc = main(["screen", "--input", str(encoded_csv), "--output", str(out),
-               "--kernel", "rbf", "--gamma", "scale", "--lam", "1.0",
-               "--embedding", "e1", "--reps", "6", "--scale", "pi2",
-               "--backend", "obp:0.05", "--seed", "0"])
+    rc = main(["screen", "--input", str(encoded_csv),
+               "--features", str(feature_csv), "--output", str(out),
+               "--kernel", "rbf", "--gamma", "scale", "--lam", "1.0"])
     assert rc == 0
     data = json.loads(out.read_text())
     for key in ("g_cq", "s_classical", "s_pqk", "sqrt_n", "verdict"):
@@ -424,13 +462,14 @@ def test_screen_writes_metrics(tmp_path, encoded_csv):
     assert data["n"] == 10
 
 
-def test_screen_reads_the_kernel_fields_of_its_kind(tmp_path, encoded_csv):
+def test_screen_reads_the_kernel_fields_of_its_kind(tmp_path, encoded_csv,
+                                                    feature_csv):
     # screen has --gamma only; poly and sigmoid keep KernelSpec's degree and
     # coef0
     out = tmp_path / "screen.json"
-    argv = ["screen", "--input", str(encoded_csv), "--output", str(out),
-            "--embedding", "e1", "--reps", "6", "--scale", "pi2",
-            "--backend", "obp:0.05", "--seed", "0", "--lam", "1.0"]
+    argv = ["screen", "--input", str(encoded_csv),
+            "--features", str(feature_csv), "--output", str(out),
+            "--lam", "1.0"]
     for flags, spec in ((["--kernel", "poly"], KernelSpec("poly")),
                         (["--kernel", "sigmoid", "--gamma", "0.5"],
                          KernelSpec("sigmoid", 0.5)),
@@ -443,15 +482,89 @@ def test_screen_reads_the_kernel_fields_of_its_kind(tmp_path, encoded_csv):
 @pytest.mark.parametrize("flag", [["--lam", "-1"], ["--gamma", "-1"],
                                   ["--kernel", "linear", "--gamma", "5"]])
 def test_screen_rejects_bad_flag_before_projecting(tmp_path, encoded_csv,
-                                                   monkeypatch, flag):
+                                                   feature_csv, monkeypatch,
+                                                   flag):
+    calls = []
+    for name in ("project_features", "screen_advantage"):
+        monkeypatch.setattr(f"motifqk.cli.{name}",
+                            lambda *args, **kwargs: calls.append(args))
+    rc = main(["screen", "--input", str(encoded_csv),
+               "--features", str(feature_csv)] + flag)
+    assert rc == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags, embedding, backend", [
+    (["--embedding", "e1", "--reps", "6", "--backend", "obp:0.05"],
+     features.EmbeddingConfig("e1", reps=6, scale=np.pi / 2), "obp:0.05"),
+    (["--embedding", "e2", "--steps", "4", "--backend", "exact"],
+     features.EmbeddingConfig("e2", steps=4, scale=np.pi / 2, seed=0),
+     "exact")], ids=["e1 obp", "e2 exact"])
+def test_screen_of_embed_features_matches_screen_advantage(
+        tmp_path, encoded_csv, monkeypatch, flags, embedding, backend):
+    # the JSON that screen writes from embed's CSV is the one of the
+    # in-process screen on the projected features, and screen projects
+    # nothing itself
+    features_csv = tmp_path / "features.csv"
+    assert main(["embed", "--input", str(encoded_csv),
+                 "--output", str(features_csv), "--scale", "pi2",
+                 "--seed", "0"] + flags) == 0
     calls = []
     monkeypatch.setattr("motifqk.cli.project_features",
                         lambda *args, **kwargs: calls.append(args))
-    rc = main(["screen", "--input", str(encoded_csv),
-               "--embedding", "e1", "--reps", "6", "--scale", "pi2",
-               "--backend", "obp:0.05", "--seed", "0"] + flag)
-    assert rc == 2
+    out = tmp_path / "screen.json"
+    assert main(["screen", "--input", str(encoded_csv),
+                 "--features", str(features_csv), "--output", str(out),
+                 "--kernel", "rbf", "--gamma", "scale", "--lam", "0.5"]) == 0
     assert calls == []
+    bits, y = load_encoded_csv(encoded_csv)
+    F = features.project_features(bits, embedding,
+                                  features.BackendConfig.parse(backend))
+    expected = screen_advantage(bits, y, F, KernelSpec("rbf"), 0.5)
+    assert out.read_text() == json.dumps(expected, indent=2,
+                                         sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("damage", ["one row fewer", "a flipped label"])
+def test_screen_refuses_features_of_other_rows(tmp_path, encoded_csv,
+                                               feature_csv, monkeypatch,
+                                               capsys, damage):
+    lines = feature_csv.read_text().splitlines(keepends=True)
+    if damage == "one row fewer":
+        lines = lines[:-1]
+    else:
+        row, label = lines[3].rsplit(",", 1)
+        lines[3] = f"{row},{-int(label)}\n"
+    other = tmp_path / "other.csv"
+    other.write_text("".join(lines))
+    calls = []
+    monkeypatch.setattr("motifqk.cli.screen_advantage",
+                        lambda *args, **kwargs: calls.append(args))
+    rc = main(["screen", "--input", str(encoded_csv),
+               "--features", str(other)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(other) in err and str(encoded_csv) in err
+    assert calls == []
+
+
+def test_screen_has_no_projection_flags(tmp_path, encoded_csv, feature_csv,
+                                        capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["screen", "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--input", "--features", "--output",
+                       "--kernel", "--gamma", "--lam"}
+    argv = ["screen", "--input", str(encoded_csv),
+            "--features", str(feature_csv)]
+    for flag in (["--embedding", "e1"], ["--reps", "6"], ["--steps", "4"],
+                 ["--scale", "pi2"], ["--backend", "exact"],
+                 ["--order", "correlation"], ["--seed", "0"],
+                 ["--jobs", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("c", ["1e-13", "1e-12"])
@@ -505,8 +618,8 @@ def test_report_full_run(tmp_path, raw_csv):
 
 
 def test_readme_demo_runs_through_report(tmp_path, monkeypatch):
-    # the README quick start, from the repository root: the INI's dataset
-    # path is read relative to the working directory
+    # the README quick start, from the repository root; the INI's dataset
+    # path is read relative to the INI file's directory
     monkeypatch.chdir(ROOT)
     reports = []
     for k in (1, 2):
@@ -583,7 +696,7 @@ def test_report_rejects_bad_protocol_before_projecting(tmp_path, raw_csv,
     assert calls == []
 
 
-@pytest.mark.parametrize("case", ["embed", "screen", "report split_seed",
+@pytest.mark.parametrize("case", ["embed", "report split_seed",
                                   "report cv_seed", "train --grid"])
 def test_negative_seed_is_a_config_error_before_projecting(
         tmp_path, raw_csv, encoded_csv, feature_csv, monkeypatch, capsys,
@@ -600,7 +713,6 @@ def test_negative_seed_is_a_config_error_before_projecting(
     report = ["report", "--output-dir", out, "--config"]
     argv = {
         "embed": ["embed", "--output", out] + e2,
-        "screen": ["screen"] + e2,
         "report split_seed": report + [
             str(_report_ini(tmp_path, raw_csv, split_seed="-3"))],
         "report cv_seed": report + [
