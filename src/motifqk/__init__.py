@@ -9,7 +9,7 @@ from .data import (Construct, EncodedDataset, EncodingLayout, MOTIF_CATALOG,
 from .circuits import (Circuit, CircuitStats, Gate, build_heisenberg_embedding,
                        build_zz_feature_map, circuit_stats, simplify)
 from .statevector import bloch_vectors, pauli_expectation, simulate
-from .pauliprop import (ObservableSum, PauliString, backpropagate_observable,
+from .pauliprop import (ObservableSum, backpropagate_observable,
                         obp_expectations)
 from .features import (BackendConfig, EmbeddingConfig, feature_names,
                        load_feature_csv, project_features, write_feature_csv)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_count, check_real
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 GATE_KINDS = ("H", "CX") + ROTATION_KINDS
@@ -40,8 +40,7 @@ class Gate:
         if want == 2 and qubits[0] == qubits[1]:
             raise ConfigError("CX control and target must differ")
         if kind in ROTATION_KINDS:
-            if angle is None or not math.isfinite(angle):
-                raise ConfigError(f"{kind} needs a finite angle")
+            check_real(angle, "angle")
         elif angle is not None:
             raise ConfigError(f"{kind} takes no angle")
 
@@ -136,8 +135,7 @@ def build_zz_feature_map(x, reps: int, scale: float) -> Circuit:
     x = _check_features(x)
     n = x.size
     check_count(reps, "reps", 1)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError("scale must be positive and finite")
+    check_real(scale, "scale", 0.0, inclusive=False)
     rep = [Gate("H", (q,)) for q in range(n)]
     rep += [Gate("RZ", (q,), float(2.0 * scale * x[q])) for q in range(n)]
     for a, b in _chain_pairs(n):
@@ -159,8 +157,7 @@ def build_heisenberg_embedding(x, steps: int, scale: float,
     x = _check_features(x)
     n = x.size + 1
     check_count(steps, "steps", 1)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError("scale must be positive and finite")
+    check_real(scale, "scale", 0.0, inclusive=False)
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, n)

@@ -3,10 +3,15 @@
 Each CLI-facing failure mode gets its own class so the entry point can map
 exceptions to stable exit codes. ``check_count`` is the one rule for every
 count (folds, splits, passes, repetitions, steps, shots, worker processes,
-a kernel degree) and every seed a config or call takes, so that a bad value
-is a ``ConfigError`` where the config is built rather than a numpy or JSON
-error, or a silent rounding, where it is consumed.
+a kernel degree) and every seed a config or call takes, and ``check_real``
+the one rule for every real parameter (a threshold, gamma, coef0, C, tol,
+lambda, scale or angle), so that a bad value is a ``ConfigError`` where the
+config is built rather than a numpy or JSON error, or a silent rounding,
+where it is consumed.
 """
+
+import math
+import numbers
 
 
 class MotifqkError(Exception):
@@ -35,3 +40,18 @@ def check_count(value, name: str, minimum: int) -> None:
     its hash and descriptors can spell."""
     if type(value) is not int or value < minimum:
         raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_real(value, name: str, low: float = -math.inf,
+               inclusive: bool = True) -> None:
+    """Reject a real parameter that is not a finite number >= low (> low
+    unless ``inclusive``). A bool is refused, as by ``check_count``: a
+    config that held True would spell it ``True`` in its hash and JSON."""
+    # a plain float skips the slower ABC test: every rotation gate comes here
+    real = type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+    if not (real and math.isfinite(value)
+            and (value > low or (inclusive and value == low))):
+        bound = "" if low == -math.inf else \
+            f" and {'>=' if inclusive else '>'} {low:g}"
+        raise ConfigError(f"{name} must be finite{bound}, got {value!r}")

@@ -63,7 +63,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BackendError, ConfigError, DataError, check_count
+from .errors import BackendError, ConfigError, DataError, check_count, \
+    check_real
 from .data import read_labelled_csv, write_labelled_csv
 from . import statevector as sv
 from .circuits import Circuit, simplify
@@ -175,9 +176,8 @@ class BackendConfig:
         if self.kind != "shots" and (self.shots or self.seed is not None):
             raise ConfigError(
                 f"shots and seed apply to the shots backend, not {self.kind}")
-        if self.kind == "obp" and not (math.isfinite(self.threshold)
-                                       and self.threshold >= 0):
-            raise ConfigError("obp threshold must be finite and >= 0")
+        if self.kind == "obp":
+            check_real(self.threshold, "obp threshold", 0.0)
 
     @classmethod
     def parse(cls, text: str, seed: int | None = None) -> "BackendConfig":

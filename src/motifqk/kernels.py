@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,10 @@ class KernelSpec:
             if self.gamma not in ("scale", "auto"):
                 raise ConfigError(
                     f"gamma must be positive or scale/auto, got {self.gamma!r}")
-        elif not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
+        else:
+            check_real(self.gamma, "gamma", 0.0, inclusive=False)
         check_count(self.degree, "degree", 1)
-        if not math.isfinite(self.coef0):
-            raise ConfigError("coef0 must be finite")
+        check_real(self.coef0, "coef0")
 
 
 def parse_gamma(text: str) -> float | str:
@@ -62,8 +61,11 @@ def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> float:
     """Numeric gamma for a data matrix: scale = 1/(d*Var(X)), auto = 1/d.
 
     Zero-variance data (constant features) falls back to gamma = 1 so that
-    degenerate inputs still produce a finite kernel.
+    degenerate inputs still produce a finite kernel. A kind whose formula
+    reads no gamma (linear) gets that 1 too, without the variance.
     """
+    if "gamma" not in KERNEL_FIELDS[spec.kind]:
+        return 1.0
     X = np.asarray(X, dtype=np.float64)
     if isinstance(spec.gamma, str):
         d = X.shape[1]
@@ -175,8 +177,7 @@ def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 60):
 
 def check_lam(lam: float) -> None:
     """Reject a ridge lambda for g and s_K that is negative or not finite."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ConfigError("lam must be finite and >= 0")
+    check_real(lam, "lam", 0.0)
 
 
 @dataclass(frozen=True)

@@ -19,90 +19,38 @@ observable is merged and truncated only after a gate that splits one of
 its own terms. Every sum, truncation decision and final expectation
 therefore sees the same numbers in the same order, and a stack gives
 bit-identical results to propagating each observable by itself.
-``obp_expectations`` reads every observable of a stack at once; a single
-observable is a stack of one.
+``obp_expectations`` reads every observable of a stack at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, check_real
 from .circuits import Circuit
 
 _U1 = np.uint64(1)
 
 
-@dataclass(frozen=True, order=True)
-class PauliString:
-    """One Pauli string as x/z bit masks (qubit q = bit q)."""
-
-    x_mask: int
-    z_mask: int
-
-    def __post_init__(self):
-        if self.x_mask < 0 or self.z_mask < 0:
-            raise ConfigError("Pauli masks must be nonnegative")
-
-    @classmethod
-    def single(cls, qubit: int, basis: str) -> "PauliString":
-        if basis == "X":
-            return cls(1 << qubit, 0)
-        if basis == "Y":
-            return cls(1 << qubit, 1 << qubit)
-        if basis == "Z":
-            return cls(0, 1 << qubit)
-        raise ConfigError(f"basis must be X, Y, or Z, got {basis!r}")
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        x = z = 0
-        for q, ch in enumerate(label):
-            if ch in "XY":
-                x |= 1 << q
-            if ch in "ZY":
-                z |= 1 << q
-            if ch not in "IXYZ":
-                raise ConfigError(f"bad Pauli label {label!r}")
-        return cls(x, z)
-
-    def label(self, n_qubits: int) -> str:
-        out = []
-        for q in range(n_qubits):
-            x, z = (self.x_mask >> q) & 1, (self.z_mask >> q) & 1
-            out.append("IXZY"[x + 2 * z])
-        return "".join(out)
-
-
 class ObservableSum:
-    """Real-coefficient sums of Pauli strings: one observable or a stack.
+    """A stack of observables, each a real-coefficient sum of Pauli strings.
 
     ``xs``, ``zs`` and ``cs`` hold the terms' masks and coefficients; zero
     coefficients are never stored. ``ids`` says which observable of the
     stack each term belongs to, and ``n_obs`` how many observables the
-    stack holds (an observable may have no terms). A sum built from a dict
-    of terms is a stack of one; ``stack`` concatenates sums. Each
-    observable's terms are contiguous, in increasing id order.
+    stack holds (an observable may have no terms). Each observable's terms
+    are contiguous, in increasing id order. ``single_qubit_stack`` builds
+    the stack that features read and ``backpropagate_observable`` returns
+    its propagated form, both through ``_from_arrays``.
     """
 
     __slots__ = ("xs", "zs", "cs", "ids", "n_obs")
 
-    def __init__(self, terms=None):
-        items = sorted((terms or {}).items(),
-                       key=lambda kv: (kv[0].z_mask, kv[0].x_mask))
-        items = [(p, float(c)) for p, c in items if float(c) != 0.0]
-        self.xs = np.array([p.x_mask for p, _ in items], dtype=np.uint64)
-        self.zs = np.array([p.z_mask for p, _ in items], dtype=np.uint64)
-        self.cs = np.array([c for _, c in items], dtype=np.float64)
-        self.ids = np.zeros(len(items), dtype=np.intp)
-        self.n_obs = 1
-
     @classmethod
     def _from_arrays(cls, xs, zs, cs, ids, n_obs) -> "ObservableSum":
-        obs = cls()
+        obs = cls.__new__(cls)
         obs.xs, obs.zs, obs.cs, obs.ids, obs.n_obs = xs, zs, cs, ids, n_obs
         return obs
 
@@ -110,43 +58,21 @@ class ObservableSum:
     def single_qubit_stack(cls, n_qubits: int) -> "ObservableSum":
         """X, Y and Z of every qubit, one observable each, coefficient 1.
 
-        Observable 3q + k is basis k of (X, Y, Z) on qubit q: the same
-        stack, field for field, as stacking the one-term sums
-        {PauliString.single(q, b): 1.0} qubit by qubit.
+        Observable 3q + k is basis k of (X, Y, Z) on qubit q.
         """
         if n_qubits > 64:
             raise BackendError("obp backend packs masks into 64-bit words")
-        one = _U1 << np.arange(n_qubits, dtype=np.uint64)
-        zero = np.zeros_like(one)
+        # X, Y, Z set the x bits (1, 1, 0) and the z bits (0, 1, 1)
+        one = _U1 << np.arange(n_qubits, dtype=np.uint64)[:, None]
         n_obs = 3 * n_qubits
         return cls._from_arrays(
-            np.stack([one, one, zero], axis=1).reshape(-1),
-            np.stack([zero, one, one], axis=1).reshape(-1),
+            (one * np.array([1, 1, 0], dtype=np.uint64)).reshape(-1),
+            (one * np.array([0, 1, 1], dtype=np.uint64)).reshape(-1),
             np.ones(n_obs), np.arange(n_obs, dtype=np.intp), n_obs)
-
-    @classmethod
-    def stack(cls, sums) -> "ObservableSum":
-        """One stack of the observables of one or more sums, in order."""
-        sums = list(sums)
-        offsets = np.cumsum([0] + [s.n_obs for s in sums])
-        return cls._from_arrays(
-            np.concatenate([s.xs for s in sums]),
-            np.concatenate([s.zs for s in sums]),
-            np.concatenate([s.cs for s in sums]),
-            np.concatenate([s.ids + o for s, o in zip(sums, offsets)]),
-            int(offsets[-1]))
 
     def __len__(self) -> int:
         """Number of terms, summed over every observable of the stack."""
         return int(self.cs.size)
-
-    def terms(self) -> dict[PauliString, float]:
-        """The terms of a one-observable sum, by Pauli string."""
-        if self.n_obs != 1:
-            raise ConfigError(
-                f"expected one observable, got a stack of {self.n_obs}")
-        return {PauliString(int(x), int(z)): float(c)
-                for x, z, c in zip(self.xs, self.zs, self.cs)}
 
 
 def _merged(xs, zs, cs, ids, touched, threshold: float):
@@ -190,9 +116,7 @@ def backpropagate_observable(circuit: Circuit, obs: ObservableSum,
     every observable comes out with the same terms, coefficients and term
     order, bit for bit, as when it is propagated alone.
     """
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)
-            and threshold >= 0):
-        raise ConfigError("threshold must be a finite nonnegative number")
+    check_real(threshold, "threshold", 0.0)
     if circuit.n_qubits > 64:
         raise BackendError("obp backend packs masks into 64-bit words")
     xs, zs, cs, ids = obs.xs.copy(), obs.zs.copy(), obs.cs.copy(), obs.ids

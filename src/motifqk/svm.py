@@ -85,7 +85,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SolverError, check_count
+from .errors import ConfigError, DataError, SolverError, check_count, \
+    check_real
 from .kernels import KERNEL_FIELDS, KERNEL_KINDS, KernelSpec, kernel_matrix, \
     resolve_gamma
 
@@ -177,9 +178,7 @@ _SEL_START = np.array([[-math.inf, 1.0], [1.0, -math.inf], [-1.0, 1.0]])
 def check_c(C: float) -> None:
     """Reject a box bound C: it must be finite and above the solver's eps,
     since at C <= eps no alpha can leave 0."""
-    if not (math.isfinite(C) and C > _EPS):
-        raise ConfigError(
-            f"C must be finite and > {_EPS:g} (the SMO eps), got {C!r}")
+    check_real(C, "C", _EPS, inclusive=False)
 
 
 def _violating_pair(score, moves):
@@ -227,8 +226,7 @@ def _check_solution(alpha, yf, margins, C: float, slack: float) -> None:
 def check_stopping(tol: float, max_passes: int) -> None:
     """Reject an SMO stopping rule: tol must be finite and > 0, and
     max_passes an int >= 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError("tol must be finite and > 0")
+    check_real(tol, "tol", 0.0, inclusive=False)
     check_count(max_passes, "max_passes", 0)
 
 

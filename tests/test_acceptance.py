@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from _observables import observables
 from _qp import dual_objective, qp_oracle
 from motifqk.circuits import (
     build_heisenberg_embedding,
@@ -37,7 +38,7 @@ from motifqk.kernels import (
     resolve_gamma,
     spectrum,
 )
-from motifqk.pauliprop import ObservableSum, PauliString, backpropagate_observable, obp_expectations
+from motifqk.pauliprop import ObservableSum, backpropagate_observable, obp_expectations
 from motifqk.statevector import bloch_vectors, pauli_expectation, \
     simulate
 from motifqk.svm import C_VALUES, GAMMA_VALUES, GridConfig, smo_train, \
@@ -100,7 +101,7 @@ def test_criterion_02_obp_matches_statevector():
         state = simulate(circuit)
         for q in range(circuit.n_qubits):
             for basis in ("X", "Y", "Z"):
-                obs = ObservableSum({PauliString.single(q, basis): 1.0})
+                obs = observables({"I" * q + basis: 1.0})
                 back = backpropagate_observable(circuit, obs, 0.0)
                 diff = abs(obp_expectations(back)[0]
                            - pauli_expectation(state, q, basis))

@@ -11,7 +11,7 @@ import pytest
 from motifqk import features
 from motifqk.circuits import build_zz_feature_map, simplify
 from motifqk.data import Construct, MOTIF_CATALOG, correlation_order, \
-    encode_dataset
+    encode_dataset, load_constructs
 from motifqk.errors import BackendError, ConfigError, DataError
 from motifqk.features import (
     BackendConfig,
@@ -22,9 +22,11 @@ from motifqk.features import (
     project_features,
     write_feature_csv,
 )
-from motifqk.pauliprop import ObservableSum, PauliString, \
-    backpropagate_observable, obp_expectations
+from motifqk.pauliprop import ObservableSum, backpropagate_observable, \
+    obp_expectations
 from motifqk.statevector import bloch_vectors
+
+from _observables import observables
 
 OBP0 = BackendConfig(kind="obp", threshold=0.0)
 EXACT = BackendConfig(kind="exact")
@@ -197,6 +199,27 @@ def test_obp_features_at_60_bits_are_pinned():
     ]
 
 
+def test_obp_features_of_the_demo_constructs_are_pinned():
+    # sha256 of the float64 feature bytes of the 12 demo constructs, E1 in
+    # correlation order and E2 in natural order, each at the production
+    # threshold and untruncated; they pin what obp rows are, so a change
+    # to the propagation engine cannot move them unseen
+    demo = Path(__file__).resolve().parents[1] / "examples" / "demo"
+    bits = encode_dataset(load_constructs(demo / "constructs.csv")).bits
+    e1 = EmbeddingConfig("e1", reps=8, scale=math.pi / 2)
+    e2 = EmbeddingConfig("e2", steps=4, scale=math.pi / 2, seed=0)
+    digests = [hashlib.sha256(project_features(
+        X, emb, BackendConfig.parse(backend)).tobytes()).hexdigest()
+        for emb, X in ((e1, bits[:, correlation_order(bits)]), (e2, bits))
+        for backend in ("obp:0.05", "obp:0.0")]
+    assert digests == [
+        "a4ddc6918433d1a2fcb41096b4ce2149dd2d67c5303d0f695f4050802e55108c",
+        "50ec6a4dfb6bb99ffb6a32690cea1f5003de2d7b0769f62a8e6d9416f13eccd7",
+        "46749353a52baae96a95a401396465e118845e72a761ba328cb26807a362ed6d",
+        "fae03dca9c8b863c6943a7784d4c1c7bd9e301c5b93e2b64337ef969e4f621c7",
+    ]
+
+
 def _one_hot_rows(n, seed):
     rng = np.random.default_rng(seed)
     motifs = sorted(MOTIF_CATALOG)
@@ -297,9 +320,8 @@ def test_obp_of_the_simplified_circuit_matches_the_built_one(emb):
 
 def test_single_qubit_stack_matches_stacked_sums():
     for n in (1, 5, 61, 64):
-        old = ObservableSum.stack(
-            ObservableSum({PauliString.single(q, b): 1.0})
-            for q in range(n) for b in "XYZ")
+        old = observables(*({"I" * q + b: 1.0}
+                            for q in range(n) for b in "XYZ"))
         new = ObservableSum.single_qubit_stack(n)
         assert new.n_obs == old.n_obs == 3 * n
         for field in ("xs", "zs", "cs", "ids"):
@@ -429,7 +451,7 @@ def test_truncated_triples_projected_onto_bloch_ball():
     raw = np.empty((circuit.n_qubits, 3))
     for q in range(circuit.n_qubits):
         for k, b in enumerate("XYZ"):
-            obs = ObservableSum({PauliString.single(q, b): 1.0})
+            obs = observables({"I" * q + b: 1.0})
             raw[q, k] = obp_expectations(
                 backpropagate_observable(circuit, obs, 0.1))[0]
     raw_radii = np.sqrt((raw ** 2).sum(axis=1))

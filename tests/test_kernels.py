@@ -437,18 +437,18 @@ def test_metrics_on_a_spectrum_raise_as_on_the_gram():
         (lambda: geometric_difference(spectrum(np.eye(4)), s3, 1.0),
          DataError, "kernel matrices must have identical shape"),
         (lambda: model_complexity(s3, np.ones(3), -1.0), ConfigError,
-         "lam must be finite and >= 0"),
+         r"lam must be finite and >= 0, got -1\.0"),
         (lambda: geometric_difference(s3, s3, float("nan")), ConfigError,
-         "lam must be finite and >= 0"),
+         "lam must be finite and >= 0, got nan"),
         (lambda: model_complexity(singular, np.ones(3), 0.0), DataError,
          r"K \+ lam\*I is singular; use a positive lam"),
         (lambda: geometric_difference(singular, s3, 0.0), DataError,
          r"K \+ lam\*I is singular; use a positive lam"),
         # lam is checked before the ridge it would make singular
         (lambda: model_complexity(singular, np.ones(3), -1.0), ConfigError,
-         "lam must be finite and >= 0"),
+         r"lam must be finite and >= 0, got -1\.0"),
         (lambda: geometric_difference(singular, s3, -1.0), ConfigError,
-         "lam must be finite and >= 0"),
+         r"lam must be finite and >= 0, got -1\.0"),
     ]
     for call, error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):

@@ -15,43 +15,20 @@ from hypothesis import strategies as st
 from motifqk.circuits import Circuit, Gate, build_heisenberg_embedding, \
     build_zz_feature_map
 from motifqk.errors import BackendError, ConfigError
-from motifqk.pauliprop import (
-    ObservableSum,
-    PauliString,
-    backpropagate_observable,
-    obp_expectations,
-)
+from motifqk.pauliprop import backpropagate_observable, obp_expectations
 from motifqk.statevector import pauli_expectation, simulate
+
+from _observables import labels, observables
 
 
 def _terms(circuit, label, threshold=0.0, coeff=1.0):
-    obs = ObservableSum({PauliString.from_label(label): coeff})
-    out = backpropagate_observable(circuit, obs, threshold)
-    return {p.label(circuit.n_qubits): c for p, c in out.terms().items()}
+    out = backpropagate_observable(circuit, observables({label: coeff}),
+                                   threshold)
+    return labels(out, circuit.n_qubits)
 
 
 def _gate1(kind, angle=None, n=1, qubit=0):
     return Circuit(n, (Gate(kind, (qubit,), angle),))
-
-
-def test_pauli_string_label_round_trip():
-    for label in ("I", "X", "Y", "Z", "XZ", "IY", "ZZXY"):
-        p = PauliString.from_label(label)
-        assert p.label(len(label)) == label
-
-
-def test_pauli_string_single_and_label_validation():
-    assert PauliString.single(2, "Y") == PauliString.from_label("IIY")
-    with pytest.raises(ConfigError):
-        PauliString.single(0, "Q")
-    with pytest.raises(ConfigError):
-        PauliString.from_label("XB")
-
-
-def test_observable_sum_drops_zeros():
-    obs = ObservableSum({PauliString.from_label("X"): 0.0,
-                         PauliString.from_label("Z"): 2.0})
-    assert obs.terms() == {PauliString.from_label("Z"): 2.0}
 
 
 def test_hadamard_conjugation():
@@ -104,19 +81,18 @@ def test_ry_conjugation():
 def test_disjoint_support_is_untouched():
     circuit = Circuit(3, (Gate("H", (1,)), Gate("CX", (1, 2)),
                           Gate("RX", (2,), 0.4)))
-    obs = ObservableSum({PauliString.single(0, "Y"): 0.75})
+    obs = observables({"YII": 0.75})
     out = backpropagate_observable(circuit, obs, 0.0)
-    assert out.terms() == obs.terms()
+    assert labels(out, 3) == {"YII": 0.75}
 
 
 def test_threshold_drops_small_terms():
     circuit = Circuit(2, (Gate("RZ", (0,), 0.7),))
-    obs = ObservableSum({PauliString.from_label("XI"): 0.3,
-                         PauliString.from_label("IX"): 0.04})
+    obs = observables({"XI": 0.3, "IX": 0.04})
     out = backpropagate_observable(circuit, obs, 0.05)
-    labels = {p.label(2) for p in out.terms()}
-    assert "IX" not in labels
-    assert labels == {"XI", "YI"}
+    kept = set(labels(out, 2))
+    assert "IX" not in kept
+    assert kept == {"XI", "YI"}
 
 
 def test_threshold_zero_keeps_everything():
@@ -130,8 +106,8 @@ def test_larger_threshold_never_grows_terms():
     rng = np.random.default_rng(5)
     x = rng.integers(0, 2, 6).astype(float)
     circuit = build_zz_feature_map(x, reps=2, scale=1.1)
-    obs = ObservableSum({PauliString.single(3, "Z"): 1.0})
-    sizes = [len(backpropagate_observable(circuit, obs, t).terms())
+    obs = observables({"IIIZ": 1.0})
+    sizes = [len(backpropagate_observable(circuit, obs, t))
              for t in (0.0, 0.01, 0.05, 0.2)]
     assert sizes == sorted(sizes, reverse=True)
 
@@ -161,8 +137,8 @@ def test_conjugation_preserves_hilbert_schmidt_norm(n, seed):
     for _ in range(int(rng.integers(1, 4))):
         q = int(rng.integers(n))
         basis = str(rng.choice(["X", "Y", "Z"]))
-        terms[PauliString.single(q, basis)] = float(rng.normal())
-    obs = ObservableSum(terms)
+        terms["I" * q + basis] = float(rng.normal())
+    obs = observables(terms)
     out = backpropagate_observable(circuit, obs, 0.0)
     assert np.dot(out.cs, out.cs) == pytest.approx(np.dot(obs.cs, obs.cs),
                                                    rel=1e-12)
@@ -176,16 +152,14 @@ def test_matches_statevector_on_small_circuits(n, seed):
     state = simulate(circuit)
     for q in range(n):
         for basis in ("X", "Y", "Z"):
-            obs = ObservableSum({PauliString.single(q, basis): 1.0})
+            obs = observables({"I" * q + basis: 1.0})
             back = backpropagate_observable(circuit, obs, 0.0)
             assert obp_expectations(back)[0] == pytest.approx(
                 pauli_expectation(state, q, basis), abs=1e-11)
 
 
 def test_obp_expectation_zero_state():
-    obs = ObservableSum({PauliString.from_label("ZZ"): 0.5,
-                         PauliString.from_label("XI"): 2.0,
-                         PauliString.from_label("ZI"): 0.25})
+    obs = observables({"ZZ": 0.5, "XI": 2.0, "ZI": 0.25})
     assert obp_expectations(obs)[0] == pytest.approx(0.75)
 
 
@@ -198,7 +172,7 @@ def test_full_width_zz_map_z_expectations():
     x[hot] = 1.0
     circuit = build_zz_feature_map(x, reps=6, scale=math.pi / 2)
     for q in list(hot) + [0, 59]:
-        obs = ObservableSum({PauliString.single(int(q), "Z"): 1.0})
+        obs = observables({"I" * int(q) + "Z": 1.0})
         back = backpropagate_observable(circuit, obs, 0.0)
         assert obp_expectations(back)[0] == pytest.approx(1.0 - 2.0 * x[q],
                                                           abs=1e-12)
@@ -206,10 +180,10 @@ def test_full_width_zz_map_z_expectations():
 
 def test_backpropagate_validation():
     circuit = Circuit(2, (Gate("H", (0,)),))
-    obs = ObservableSum({PauliString.single(5, "Z"): 1.0})
+    obs = observables({"IIIIIZ": 1.0})
     with pytest.raises(ConfigError):
         backpropagate_observable(circuit, obs, 0.0)
-    good = ObservableSum({PauliString.single(0, "Z"): 1.0})
+    good = observables({"Z": 1.0})
     with pytest.raises(ConfigError):
         backpropagate_observable(circuit, good, -0.1)
     wide = Circuit(65, ())
@@ -224,10 +198,11 @@ def _random_observable(rng, n):
         label = ["I"] * n
         for q in rng.choice(n, size=2, replace=False):
             label[q] = str(rng.choice(list("IXYZ")))
-        terms[PauliString.from_label("".join(label))] = float(rng.normal())
+        terms["".join(label)] = float(rng.normal())
     # below every positive threshold used: kept or dropped per observable
-    terms[PauliString.single(int(rng.integers(n)), "X")] = 0.03
-    return ObservableSum(terms)
+    q = int(rng.integers(n))
+    terms["I" * q + "X" + "I" * (n - q - 1)] = 0.03
+    return terms
 
 
 @given(st.sampled_from(["e1", "e2", "random"]),
@@ -248,12 +223,12 @@ def test_stack_matches_each_observable_alone(kind, n, seed):
     else:
         circuit = _random_circuit(rng, n, int(rng.integers(1, 40)))
     multi = _random_observable(rng, n)
-    negated = ObservableSum({p: -c for p, c in multi.terms().items()})
-    parts = [ObservableSum({PauliString.single(q, b): 1.0})
-             for q in range(n) for b in "XYZ"]
-    parts += [multi, negated, _random_observable(rng, n), ObservableSum()]
-    parts = [parts[i] for i in rng.permutation(len(parts))]
-    stack = ObservableSum.stack(parts)
+    negated = {label: -c for label, c in multi.items()}
+    sums = [{"I" * q + b: 1.0} for q in range(n) for b in "XYZ"]
+    sums += [multi, negated, _random_observable(rng, n), {}]
+    sums = [sums[i] for i in rng.permutation(len(sums))]
+    stack = observables(*sums)
+    parts = [observables(s) for s in sums]
     for threshold in (0.0, 0.05, 0.1):
         out = backpropagate_observable(circuit, stack, threshold)
         assert out.n_obs == len(parts)
@@ -270,13 +245,9 @@ def test_stack_matches_each_observable_alone(kind, n, seed):
         assert len(out) == total
 
 
-def test_stack_of_stacks_and_single_observable_readers():
-    a = ObservableSum({PauliString.from_label("ZI"): 1.0})
-    b = ObservableSum({PauliString.from_label("IZ"): -2.0,
-                       PauliString.from_label("XI"): 1.0})
-    nested = ObservableSum.stack([a, ObservableSum.stack([ObservableSum(), b])])
-    assert nested.n_obs == 3
-    assert nested.ids.tolist() == [0, 2, 2]
-    assert obp_expectations(nested).tolist() == [1.0, 0.0, -2.0]
-    with pytest.raises(ConfigError):
-        nested.terms()
+def test_obp_expectations_reads_each_observable_of_a_stack():
+    # an observable without terms reads 0 and keeps its place in the stack
+    stack = observables({"ZI": 1.0}, {}, {"IZ": -2.0, "XI": 1.0})
+    assert stack.n_obs == 3
+    assert stack.ids.tolist() == [0, 2, 2]
+    assert obp_expectations(stack).tolist() == [1.0, 0.0, -2.0]

@@ -147,6 +147,19 @@ def test_gamma_resolved_at_fit_time(rng):
     assert model.gamma_value == pytest.approx(resolve_gamma(spec, X))
 
 
+def test_linear_model_records_gamma_one(rng):
+    # the linear kernel reads no gamma, so the fit resolves none from the
+    # rows' variance: gamma_value is 1.0 on rows that are not constant
+    X = rng.normal(size=(8, 4))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    if len(set(y.tolist())) == 1:
+        y[0] = -y[0]
+    assert X.var() > 0 and 1.0 / (4 * X.var()) != 1.0
+    for gamma in ("scale", "auto"):
+        model = smo_train(X, y, KernelSpec(kind="linear", gamma=gamma), C=1.0)
+        assert model.gamma_value == 1.0
+
+
 def test_weighted_f1_known_values():
     assert weighted_f1([1, 1, 1, 0], [1, 1, 0, 0]) == pytest.approx(
         0.7666666666666667, abs=1e-12)
