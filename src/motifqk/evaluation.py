@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_count, check_real
 from .data import (ANNOTATION_AXES, EncodedDataset, annotate_category,
                    correlation_order, decode_one_hot)
 from .features import BackendConfig, EmbeddingConfig, parse_scale, \
@@ -60,6 +60,7 @@ def check_split_plan(n_splits, train_frac) -> None:
     """Reject a split count that is not an int >= 1, or a train share
     outside (0, 1)."""
     check_count(n_splits, "n_splits", 1)
+    check_real(train_frac, "train_frac")
     if not (0.0 < train_frac < 1.0):
         raise ConfigError("train_frac must be in (0, 1)")
 
@@ -139,6 +140,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"feature_order must be one of {FEATURE_ORDERS}, "
                 f"got {self.feature_order!r}")
+        # the config hash spells 1 and 1.0 apart and cannot spell numpy
+        for name in ("train_frac", "smo_tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def provenance(self) -> dict:
         """Every field but the deployment ones, JSON-ready: the embedding

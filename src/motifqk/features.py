@@ -1,22 +1,23 @@
 """Projected-feature extraction: embed each sample, read out every 1-RDM.
 
 For an n-qubit embedding the feature row is (X_0, Y_0, Z_0, X_1, ...): all
-3n single-qubit Pauli expectations of the embedded state. Backends: exact
-statevector readout (``statevector.bloch_vectors``, optionally with
-binomial shot noise), which simulates each CX-connected cluster of the
-simplified circuit on its own and so serves any width whose largest
-cluster fits under statevector.DEFAULT_QUBIT_CAP qubits; and noise-free
-operator backpropagation up to 64 qubits. Backpropagation reads a
-sample's 3n observables in one pass, as one stack (see pauliprop).
+3n single-qubit Pauli expectations of the embedded state. Every backend
+reads them through ``statevector.bloch_vectors``, one CX-connected cluster
+of the simplified circuit at a time, with one memo per block of rows that
+one process computes, kept for that ``project_features`` call only: a
+cluster circuit that repeats across rows, as one-hot rows' do, is read
+once per call, and each row comes out bit for bit as when read alone.
+Exact and shots simulate each cluster (shots then adds binomial noise), up
+to statevector.DEFAULT_QUBIT_CAP qubits per cluster. Noise-free obp, up to
+64 qubits, propagates a cluster's 3k observables as one stack (see
+pauliprop); that gives the bits of propagating all 3n through the whole
+circuit, because:
 
-On the exact and shots backends each block of rows that one process
-computes shares one memo of cluster readouts, so a local circuit that
-repeats across rows, as one-hot rows' circuits do, is simulated once per
-``project_features`` call. The memo is exact (see statevector) and lives
-for that one call only: nothing persists between calls, and the rows come
-out bit for bit as when each is read on its own.
+- each observable in a stack propagates as if alone;
+- a gate outside an observable's cluster never touches its terms;
+- relabelling cluster qubits to 0..k-1 in order keeps every (id, z, x) sort.
 
-Both backends run the simplified circuit (``circuits.simplify``); the
+Every backend reads the simplified circuit (``circuits.simplify``); the
 builders still emit every gate. On a one-hot 60-bit row nearly every data
 gate has angle 0, so obp propagates about 82 gates of E1 reps 8 instead of
 2,376, and 333 of E2 steps 4 instead of 4,141. With a positive truncation
@@ -58,6 +59,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -67,7 +69,7 @@ from .errors import BackendError, ConfigError, DataError, check_count, \
     check_real
 from .data import read_labelled_csv, write_labelled_csv
 from . import statevector as sv
-from .circuits import Circuit, simplify
+from .circuits import Circuit
 from .circuits import build_heisenberg_embedding, build_zz_feature_map
 from .pauliprop import ObservableSum, backpropagate_observable, \
     obp_expectations
@@ -135,6 +137,8 @@ class EmbeddingConfig:
             check_count(self.seed, "e2 seed", 0)
         if self.scale not in PRODUCTION_SCALES:
             raise ConfigError("scale must be pi or pi/2")
+        # a numpy scale would spell np.float64(...) in the descriptor
+        object.__setattr__(self, "scale", float(self.scale))
 
     def n_qubits(self, n_features: int) -> int:
         return n_features if self.kind == "e1" else n_features + 1
@@ -156,8 +160,9 @@ class BackendConfig:
 
     ``shots`` and ``seed`` belong to the shots kind alone, which needs both;
     ``seed`` is None when not given, and exact and obp reject any seed, 0
-    included. ``descriptor()`` keys the feature cache and the report's
-    config hash; keep its text.
+    included. ``threshold`` belongs to obp alone and is kept as a float.
+    ``descriptor()`` keys the feature cache and the report's config hash;
+    keep its text.
     """
 
     kind: str
@@ -176,8 +181,12 @@ class BackendConfig:
         if self.kind != "shots" and (self.shots or self.seed is not None):
             raise ConfigError(
                 f"shots and seed apply to the shots backend, not {self.kind}")
-        if self.kind == "obp":
-            check_real(self.threshold, "obp threshold", 0.0)
+        if self.kind != "obp" and self.threshold:
+            raise ConfigError(
+                f"threshold applies to the obp backend, not {self.kind}")
+        check_real(self.threshold, "obp threshold", 0.0)
+        # obp:1 and obp:1.0 must be one descriptor, so one cache key
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     @classmethod
     def parse(cls, text: str, seed: int | None = None) -> "BackendConfig":
@@ -233,20 +242,29 @@ def _onto_bloch_ball(out: np.ndarray) -> None:
         vecs[off_ball] /= radii[off_ball, None]
 
 
+def _read_obp(threshold: float, circuit: Circuit) -> np.ndarray:
+    # a cluster's 3k single-qubit observables, propagated as one stack
+    return obp_expectations(backpropagate_observable(
+        circuit, ObservableSum.single_qubit_stack(circuit.n_qubits),
+        threshold)).reshape(-1, 3)
+
+
 def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
                      backend: BackendConfig, memo: dict) -> np.ndarray:
     circuit = embedding.build(row)
     n = circuit.n_qubits
-    out = np.empty(3 * n, dtype=np.float64)
-    if backend.kind == "obp":
-        # the simplified circuit gives the same bits (module docstring);
-        # truncation can push a triple off the Bloch ball
-        out[:] = obp_expectations(backpropagate_observable(
-            simplify(circuit), ObservableSum.single_qubit_stack(n),
-            backend.threshold))
-        _onto_bloch_ball(out)
+    if backend.kind == "obp" and n > 64:
+        raise BackendError("obp backend packs masks into 64-bit words")
+    read = partial(_read_obp, backend.threshold) \
+        if backend.kind == "obp" else None
+    out = sv.bloch_vectors(circuit, memo, read).reshape(-1)
+    if backend.kind == "exact":
+        radii_sq = (out.reshape(n, 3) ** 2).sum(axis=1)
+        if radii_sq.max() > 1.0 + BLOCH_TOL:
+            raise BackendError(
+                f"single-qubit Bloch bound violated: squared radius "
+                f"{radii_sq.max()!r} on the exact backend")
         return out
-    out[:] = sv.bloch_vectors(circuit, memo).reshape(-1)
     if backend.kind == "shots":
         # each basis is sampled on its own, so a triple of estimates can
         # leave the ball even though each lies in [-1, 1]
@@ -256,20 +274,15 @@ def _sample_features(row: np.ndarray, embedding: EmbeddingConfig,
                 out[3 * q + k] = sv.binomial_estimate(
                     out[3 * q + k], backend.shots,
                     _shot_seed(backend.seed, bits_key, q, b))
-        _onto_bloch_ball(out)
-        return out
-    radii_sq = (out.reshape(n, 3) ** 2).sum(axis=1)
-    if radii_sq.max() > 1.0 + BLOCH_TOL:
-        raise BackendError(
-            f"single-qubit Bloch bound violated: squared radius "
-            f"{radii_sq.max()!r} on the exact backend")
+    # truncation, too, can push a triple off the Bloch ball
+    _onto_bloch_ball(out)
     return out
 
 
 def _feature_block(rows: np.ndarray, embedding: EmbeddingConfig,
                    backend: BackendConfig) -> list[np.ndarray]:
-    """Feature rows of a block of bit rows; the block's exact readouts
-    share one cluster memo (module docstring)."""
+    """Feature rows of a block of bit rows; the block's cluster readouts
+    share one memo (module docstring)."""
     memo: dict = {}
     return [_sample_features(row, embedding, backend, memo) for row in rows]
 

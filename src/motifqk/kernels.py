@@ -42,8 +42,10 @@ class KernelSpec:
                     f"gamma must be positive or scale/auto, got {self.gamma!r}")
         else:
             check_real(self.gamma, "gamma", 0.0, inclusive=False)
+            object.__setattr__(self, "gamma", float(self.gamma))
         check_count(self.degree, "degree", 1)
         check_real(self.coef0, "coef0")
+        object.__setattr__(self, "coef0", float(self.coef0))
 
 
 def parse_gamma(text: str) -> float | str:

@@ -124,13 +124,7 @@ def backpropagate_observable(circuit: Circuit, obs: ObservableSum,
         if circuit.n_qubits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
     if cs.size and ((xs | zs) & ~full).any():
         raise ConfigError("observable acts outside the circuit's qubits")
-    support = np.bitwise_or.reduce(xs | zs) if cs.size else np.uint64(0)
     for g in reversed(circuit.gates):
-        gate_mask = np.uint64(0)
-        for q in g.qubits:
-            gate_mask |= _U1 << np.uint64(q)
-        if not (gate_mask & support):
-            continue  # identity on every term
         if g.kind == "H":
             q = g.qubits[0]
             xq, zq = _bit(xs, q), _bit(zs, q)
@@ -177,7 +171,6 @@ def backpropagate_observable(circuit: Circuit, obs: ObservableSum,
                     ids = np.concatenate([ids, branch_ids])
                 xs, zs, cs, ids = _merged(xs, zs, cs, ids, touched,
                                           float(threshold))
-        support = np.bitwise_or.reduce(xs | zs) if cs.size else np.uint64(0)
     return ObservableSum._from_arrays(xs, zs, cs, ids, obs.n_obs)
 
 

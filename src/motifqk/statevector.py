@@ -1,4 +1,4 @@
-"""Dense statevector simulation and exact single-qubit readout.
+"""Dense statevector simulation and the per-cluster single-qubit readout.
 
 Qubit q maps to axis q of the state reshaped to [2]*n, so qubit 0 is the
 most significant index. The simulator is the ground truth the
@@ -6,19 +6,20 @@ operator-backpropagation engine is checked against. The shots backend
 samples from its exact values: ``binomial_estimate`` turns each one into a
 seeded finite-shot estimate.
 
-``bloch_vectors`` reads every qubit's (X, Y, Z) exactly without holding
-the whole register: after ``circuits.simplify`` the qubits split into
-clusters that no CX joins, and each cluster is simulated on its own. The
+``bloch_vectors`` is every backend's readout loop: after
+``circuits.simplify`` the qubits split into clusters that no CX joins, and
+each cluster's circuit, on qubits 0..k-1 in order, is read on its own by a
+reader: exact simulation by default (``features`` passes obp's). The exact
 width limit, ``DEFAULT_QUBIT_CAP``, applies to the largest cluster, not to
 the qubit count, so one-hot rows at 60-61 qubits are served exactly.
 
 One-hot rows repeat the same local circuits, within a row and across rows,
 so ``bloch_vectors`` takes a memo of cluster readouts that its caller keeps
 for one call of its own (``features.project_features`` keeps one per
-block of rows) and never longer. The key is exact: it is the cluster width
-and its (kind, local operands, angle) gate tuples, which is everything
-``simulate`` reads. Equal nonzero floats have identical bits, and
-``simplify`` drops every zero angle, so 0.0 and -0.0 never meet as two
+block of rows, for one backend) and never longer. The key is exact: it is
+the cluster width and its (kind, local operands, angle) gate tuples, which
+is everything a reader reads. Equal nonzero floats have identical bits,
+and ``simplify`` drops every zero angle, so 0.0 and -0.0 never meet as two
 spellings of one key.
 """
 
@@ -128,23 +129,32 @@ def _clusters(circuit: Circuit) -> list[list[int]]:
     return list(groups.values())
 
 
-def bloch_vectors(circuit: Circuit, memo: dict | None = None) -> np.ndarray:
-    """Exact (X, Y, Z) of every qubit, shape (n_qubits, 3).
+def _read_exact(circuit: Circuit) -> np.ndarray:
+    # module-level names, so a wrapper set on the module applies
+    psi = simulate(circuit)
+    return np.array([[pauli_expectation(psi, i, b) for b in "XYZ"]
+                     for i in range(circuit.n_qubits)])
 
-    Simulates each CX-connected cluster of the simplified circuit on its
-    own; a qubit no gate touches reads (0, 0, 1). A cluster wider than
-    ``DEFAULT_QUBIT_CAP`` raises ``BackendError`` before anything is
-    simulated. ``memo`` maps a cluster's (width, gate tuples) to its
-    readout (module docstring); a cluster found there is not simulated
-    again. Without one, each call starts an empty memo of its own.
+
+def bloch_vectors(circuit: Circuit, memo: dict | None = None,
+                  read=None) -> np.ndarray:
+    """(X, Y, Z) of every qubit, shape (n_qubits, 3).
+
+    ``read`` maps a CX-connected cluster of the simplified circuit to its
+    (k, 3) readout; a qubit no gate touches reads (0, 0, 1). The default,
+    exact, reader refuses a cluster wider than ``DEFAULT_QUBIT_CAP``
+    before anything is simulated. ``memo`` maps a cluster's (width, gate
+    tuples) to one reader's readout (module docstring); a cluster found
+    there is not read again. Without one, each call starts its own.
     """
     circuit = simplify(circuit)
     clusters = _clusters(circuit)
     widest = max(map(len, clusters), default=0)
-    if widest > DEFAULT_QUBIT_CAP:
+    if read is None and widest > DEFAULT_QUBIT_CAP:
         raise BackendError(
             f"statevector backend capped at {DEFAULT_QUBIT_CAP} qubits per "
             f"entangled cluster (largest has {widest}); use the obp backend")
+    read = read or _read_exact
     where = {q: (k, i) for k, c in enumerate(clusters)
              for i, q in enumerate(c)}
     gates: list[list[tuple]] = [[] for _ in clusters]
@@ -159,12 +169,8 @@ def bloch_vectors(circuit: Circuit, memo: dict | None = None) -> np.ndarray:
         key = (len(cluster), tuple(local))
         vecs = memo.get(key)
         if vecs is None:
-            # module-level names, so a wrapper set on the module applies
-            psi = simulate(Circuit(len(cluster),
-                                   tuple(Gate(*g) for g in local)))
-            vecs = memo[key] = np.array(
-                [[pauli_expectation(psi, i, b) for b in "XYZ"]
-                 for i in range(len(cluster))])
+            vecs = memo[key] = read(Circuit(len(cluster),
+                                            tuple(Gate(*g) for g in local)))
         out[cluster] = vecs
     return out
 

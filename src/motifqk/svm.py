@@ -484,6 +484,11 @@ class GridConfig:
         for kind in self.kernels:
             for gamma in self.gamma_values:
                 KernelSpec(kind, gamma, self.degree, self.coef0)
+        # floats: C = 1 and C = 1.0 hash alike, and numpy never reaches JSON
+        object.__setattr__(self, "c_values", tuple(map(float, self.c_values)))
+        object.__setattr__(self, "gamma_values", tuple(
+            g if isinstance(g, str) else float(g) for g in self.gamma_values))
+        object.__setattr__(self, "coef0", float(self.coef0))
 
     def candidates(self) -> list[tuple[str, float, object]]:
         return [(k, c, g) for k in self.kernels

@@ -528,6 +528,27 @@ def test_deployment_fields_stay_out_of_the_config_hash():
         {f.name for f in dataclasses.fields(base)} - {"n_jobs"})
 
 
+def test_real_fields_of_every_spelling_hash_alike():
+    # real values are stored as floats: int, float and numpy spellings of
+    # one value are one config, and no numpy scalar reaches the hash's JSON
+    def config(num, frac):
+        return _synthetic_config(
+            embedding=EmbeddingConfig("e1", reps=6, scale=frac(math.pi / 2)),
+            backend=BackendConfig("obp", threshold=num(1)),
+            train_frac=frac(0.5), smo_tol=frac(0.25),
+            grid=GridConfig(kernels=("poly",), c_values=(num(2),),
+                            gamma_values=("scale", num(3)), coef0=num(1)))
+
+    want = _config_hash(config(float, float))
+    for num in (int, np.int64, np.float32, np.float64):
+        for frac in (float, np.float64):
+            assert _config_hash(config(num, frac)) == want
+    assert _config_hash(_synthetic_config(grid=dataclasses.replace(
+        TINY_GRID, c_values=(1,)))) == _config_hash(_synthetic_config())
+    spec = KernelSpec("poly", np.int64(2), coef0=np.float32(0.5))
+    assert (type(spec.gamma), type(spec.coef0)) == (float, float)
+
+
 def test_demo_report_bytes_are_pinned():
     # the demo config on the 15-bit separable layout (the benchmark's report
     # workload; examples/demo/demo.ini runs the same keys at 60 bits); a

@@ -139,6 +139,34 @@ def test_backend_validation():
             BackendConfig.parse(text, seed=0)
 
 
+def test_real_values_spell_one_descriptor():
+    # obp:1 and obp:1.0 are one backend, so one cache key and config hash,
+    # and a numpy value spells no np.float64(...) into either
+    for threshold in (1, 1.0, np.int64(1), np.float32(1), np.float64(1)):
+        assert BackendConfig("obp", threshold=threshold).descriptor() \
+            == BackendConfig.parse("obp:1").descriptor() == "obp:1.0"
+    assert BackendConfig("obp", threshold=np.float64(0.05)).descriptor() \
+        == BackendConfig.parse("obp:0.05").descriptor()
+    # a float32 keeps its value, spelled as the float it is
+    assert BackendConfig("obp", threshold=np.float32(0.05)).descriptor() \
+        == BackendConfig.parse("obp:0.05000000074505806").descriptor()
+    for scale in (math.pi / 2, np.float64(math.pi / 2)):
+        assert EmbeddingConfig("e1", reps=6, scale=scale).descriptor() \
+            == EmbeddingConfig("e1", reps=6, scale=features.parse_scale(
+                "pi2")).descriptor()
+
+
+def test_threshold_applies_to_obp_alone():
+    # nothing reads a threshold on exact or shots: refuse it, as a seed is
+    # refused where nothing reads it
+    for kind, read in (("exact", {}), ("shots", {"shots": 100, "seed": 0})):
+        with pytest.raises(ConfigError, match="^threshold applies to the "
+                                              f"obp backend, not {kind}$"):
+            BackendConfig(kind, threshold=5.0, **read)
+    with pytest.raises(ConfigError, match="needs a seed"):
+        BackendConfig("shots", shots=100, threshold=5.0)
+
+
 def test_descriptors_and_cache_paths_are_pinned():
     # feature caches and report config hashes written by earlier versions
     # stay valid only while these strings and paths do not move
@@ -316,6 +344,61 @@ def test_obp_of_the_simplified_circuit_matches_the_built_one(emb):
             # untruncated, each RX(pi/2)·RX(-pi/2) pair that simplify
             # removes leaves cos(pi/2)^2-sized terms in the built circuit
             assert np.abs(built - simple).max() <= 1e-30
+
+
+@pytest.mark.parametrize("emb", PRODUCTION_EMBEDDINGS,
+                         ids=lambda e: e.descriptor())
+def test_obp_cluster_readout_matches_the_whole_circuit(emb):
+    # project_features propagates each cluster's observables on their own;
+    # every byte must come out as when all 3n observables propagate through
+    # the whole simplified circuit (features docstring)
+    rows = _pinned_rows()
+    for ordered in (rows, rows[:, correlation_order(rows[:-1])]):
+        # untruncated, the dense row's widest cluster holds too many terms
+        for X, threshold in ((ordered, 0.05), (ordered[:-1], 0.0)):
+            want = np.empty((len(X), 3 * emb.n_qubits(X.shape[1])))
+            for out, row in zip(want, X):
+                circuit = simplify(emb.build(row.astype(float)))
+                out[:] = obp_expectations(backpropagate_observable(
+                    circuit, ObservableSum.single_qubit_stack(
+                        circuit.n_qubits), threshold))
+                vecs = out.reshape(-1, 3)
+                radii = np.sqrt((vecs ** 2).sum(axis=1))
+                vecs[radii > 1.0] /= radii[radii > 1.0, None]
+            got = project_features(X, emb, BackendConfig(
+                "obp", threshold=threshold))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_obp_readout_propagates_each_cluster_circuit_once_per_call(
+        monkeypatch):
+    rows = _pinned_rows()
+    obp = BackendConfig.parse("obp:0.05")
+    want = project_features(rows, SMALL, obp)
+    seen = []
+    backprop = features.backpropagate_observable
+
+    def counted(circuit, obs, threshold):
+        seen.append(circuit)
+        return backprop(circuit, obs, threshold)
+
+    monkeypatch.setattr(features, "backpropagate_observable", counted)
+    # every cluster circuit of the rows, each row read on its own
+    for row in rows:
+        project_features(row[None], SMALL, obp)
+    distinct = set(seen)
+    assert len(distinct) < len(seen) / 5
+    # no circuit spans the register: each is one cluster's
+    assert max(c.n_qubits for c in distinct) < rows.shape[1] / 5
+    seen.clear()
+    got = project_features(rows, SMALL, obp)
+    assert got.tobytes() == want.tobytes()
+    assert len(seen) == len(set(seen)) and set(seen) == distinct
+    # a second call starts from nothing
+    first = list(seen)
+    seen.clear()
+    project_features(rows, SMALL, obp)
+    assert seen == first
 
 
 def test_single_qubit_stack_matches_stacked_sums():

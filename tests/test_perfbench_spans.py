@@ -55,7 +55,8 @@ def test_every_traced_call_site_resolves_and_is_restored(monkeypatch):
     for (module_name, attr), original in originals.items():
         assert getattr(importlib.import_module(module_name), attr) \
             is original
-    # one build and one propagation pass per obp sample
+    # one build per obp sample and one propagation pass per distinct
+    # non-trivial cluster: the one cluster circuit of the exact case below
     names = [s.name for s in tracer.spans]
     assert names[:obp_end] == ["features.project", "circuits.build",
                                "pauliprop.backprop"]
